@@ -3,7 +3,9 @@
 ``berge_oracle`` decides Berge containment by enumerating every injection of
 the pattern vertices and, per injection, every assignment of distinct
 hyperedges to pattern edges -- no matching machinery, so it is an
-independent ground truth for the fast engine.  ``min_saturation_search``
+independent ground truth for the fast engine.  ``saturation_violations``
+probes every missing k-set on its own, the reference for the verifier's
+shortcut through pairs already proved good.  ``min_saturation_search``
 enumerates all edge subsets of bounded size and is the ground truth for
 saturation numbers on tiny instances.
 """
@@ -52,6 +54,12 @@ def berge_oracle(f: Graph, h: Hypergraph) -> bool:
         if assign(0, placed, [False] * len(host_sets)):
             return True
     return False
+
+
+def saturation_violations(h: Hypergraph, f: Graph, k: int) -> list[tuple[int, ...]]:
+    """Every missing k-set whose addition creates no new Berge copy of ``f``,
+    in lexicographic order, one independent probe each."""
+    return [t for t in missing_edges(h, k) if not engine.creates_new_berge(h, t, f)]
 
 
 def greedy_saturate(h: Hypergraph, f: Graph, k: int, order=None) -> Hypergraph:

@@ -1,17 +1,24 @@
 """Freeness and saturation verification.
 
-The verifier treats the hypergraph as opaque: full mode walks every missing
-k-set in lexicographic order and is the only mode that certifies saturation.
-Sampled mode probes a seeded uniform sample of missing k-sets.  Orbit mode
-groups missing k-sets by the equal-neighbourhood classes of their vertices
-(two vertices are equivalent when each dominates the other, i.e. they lie in
-exactly the same edges, so swapping them is an automorphism) and checks one
-representative per class -- a large speedup on block-structured inputs, but
-deliberately not a certificate.
+The verifier treats the hypergraph as opaque.  Full mode decides every
+missing k-set and is the only mode that certifies saturation.  Sampled mode
+probes a seeded uniform sample of missing k-sets.  Orbit mode groups missing
+k-sets by the equal-neighbourhood classes of their vertices (two vertices are
+equivalent when each dominates the other, i.e. they lie in exactly the same
+edges, so swapping them is an automorphism) and checks one representative
+per class -- a large speedup on block-structured inputs, but deliberately
+not a certificate.
 
-Missing-edge checks are pure, so they fan out over worker processes in
-contiguous lexicographic ranges and merge deterministically: the report is
-identical for any worker count.
+Every mode runs the same probe worker.  A missing k-set t creates a new
+Berge copy iff some pair {a, b} inside t does as a bare 2-edge: the pattern
+edge assigned to t has its core images in t, and swapping t for any set
+through a and b that is not an edge keeps the copy valid.  So a probe's
+witness proves the core images of t's pattern edge a good pair, and every
+later missing k-set through a good pair needs no probe.  Any other k-set is
+probed, so the violations are exact.
+
+Missing-edge checks are pure, so they fan out over worker processes and
+merge deterministically: the report is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import random
 import time
 from bisect import bisect_right
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from math import comb
 
@@ -31,8 +39,7 @@ from .engine import BergeWitness
 
 Edge = tuple[int, ...]
 
-_RANGE_CHUNK = 40_000  # lexicographic ranks per work unit
-_LIST_CHUNK = 20_000  # explicit k-sets per work unit
+_LIST_CHUNK = 20_000  # sampled or orbit k-sets per work unit
 
 
 @dataclass
@@ -79,22 +86,9 @@ def all_pairs_good(h: Hypergraph, ell: int) -> PairGoodnessReport:
     it create a new Berge clique on ``ell`` vertices?"""
     from .invariants import make_clique
 
-    index = engine._Index(h)
-    pattern = engine._Pattern(make_clique(ell))
-    present = h.edge_set()
-    report = PairGoodnessReport(checked=0, good=0, failures=[])
-    for pair in itertools.combinations(range(h.n), 2):
-        if pair in present:
-            continue
-        report.checked += 1
-        found = engine._search(
-            index, pattern, required_edge=pair, virtual_edge=pair, want_witness=False
-        )
-        if found:
-            report.good += 1
-        else:
-            report.failures.append(pair)
-    return report
+    checked, failures = _run_tasks(h, make_clique(ell), 2, _scan_first, range(h.n), 1)
+    return PairGoodnessReport(checked=checked, good=checked - len(failures),
+                              failures=failures)
 
 
 def all_cores_present(h: Hypergraph, ell: int) -> engine.CoreCoverageReport:
@@ -133,20 +127,6 @@ def _unrank_kset(n: int, k: int, rank: int) -> list[int]:
     return out
 
 
-def _advance_kset(c: list[int], n: int) -> bool:
-    """Step to the lexicographic successor in place."""
-    k = len(c)
-    i = k - 1
-    while i >= 0 and c[i] == n - k + i:
-        i -= 1
-    if i < 0:
-        return False
-    c[i] += 1
-    for j in range(i + 1, k):
-        c[j] = c[j - 1] + 1
-    return True
-
-
 # ---------------------------------------------------------------------------
 # worker machinery (module level so fork-based pools can reach it)
 
@@ -159,46 +139,48 @@ def _init_worker(h: Hypergraph, f: Graph, k: int) -> None:
     _WORK["present"] = h.edge_set()
     _WORK["n"] = h.n
     _WORK["k"] = k
+    _WORK["good"] = set()  # pairs a witness proved good
 
 
-def _scan_rank_range(bounds: tuple[int, int]) -> tuple[int, list[Edge]]:
-    lo, hi = bounds
-    index, pattern = _WORK["index"], _WORK["pattern"]
-    present, n, k = _WORK["present"], _WORK["n"], _WORK["k"]
+def _scan_list(ksets: Iterable[Edge]) -> tuple[int, list[Edge]]:
+    """Decide each missing k-set in order: count it, and report it when it
+    creates no new Berge copy."""
+    index, pattern, good = _WORK["index"], _WORK["pattern"], _WORK["good"]
     search = engine._search
-    cur = _unrank_kset(n, k, lo)
     checked = 0
     violations: list[Edge] = []
-    for _ in range(lo, hi):
-        t = tuple(cur)
-        if t not in present:
-            checked += 1
-            if not search(index, pattern, required_edge=t, virtual_edge=t,
-                          want_witness=False):
-                violations.append(t)
-        _advance_kset(cur, n)
+    for t in ksets:
+        checked += 1
+        if not good.isdisjoint(itertools.combinations(t, 2)):
+            continue
+        w = search(index, pattern, required_edge=t, virtual_edge=t)
+        if w is None:
+            violations.append(t)
+            continue
+        x, y = next(fe for fe, e in w.edge_map.items() if e == t)
+        a, b = w.core_map[x], w.core_map[y]
+        good.add((a, b) if a < b else (b, a))
     return checked, violations
 
 
-def _scan_list(ksets: list[Edge]) -> tuple[int, list[Edge]]:
-    index, pattern = _WORK["index"], _WORK["pattern"]
-    search = engine._search
-    violations = [
-        t
-        for t in ksets
-        if not search(index, pattern, required_edge=t, virtual_edge=t,
-                      want_witness=False)
-    ]
-    return len(ksets), violations
+def _scan_first(u: int) -> tuple[int, list[Edge]]:
+    """The missing k-sets whose least vertex is ``u``, in lexicographic order."""
+    present, n, k = _WORK["present"], _WORK["n"], _WORK["k"]
+    ksets = ((u,) + rest for rest in itertools.combinations(range(u + 1, n), k - 1))
+    return _scan_list(t for t in ksets if t not in present)
 
 
-def _run_tasks(h, f, k, worker, tasks, jobs):
+def _run_tasks(h, f, k, worker, tasks, jobs) -> tuple[int, list[Edge]]:
+    """Run ``worker`` over ``tasks`` and merge the results in task order."""
     if jobs <= 1 or len(tasks) <= 1:
         _init_worker(h, f, k)
-        return [worker(t) for t in tasks]
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(jobs, initializer=_init_worker, initargs=(h, f, k)) as pool:
-        return pool.map(worker, tasks)
+        results = [worker(t) for t in tasks]
+    else:
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(jobs, initializer=_init_worker, initargs=(h, f, k)) as pool:
+            results = pool.map(worker, tasks)
+    violations = [t for _, v in results for t in v]
+    return sum(c for c, _ in results), violations
 
 
 # ---------------------------------------------------------------------------
@@ -313,37 +295,25 @@ def is_saturated(
     free, witness = is_berge_free(h, f)
     violations_free = [] if free else [witness]
 
+    mode = "full"
     reduction = None
     sample_count = None
     sample_seed = None
     if orbits:
         mode = "orbits"
-        reps = _orbit_representatives(h, k)
-        tasks = [reps[i: i + _LIST_CHUNK] for i in range(0, len(reps), _LIST_CHUNK)]
-        results = _run_tasks(h, f, k, _scan_list, tasks, jobs)
-        total_missing = count_missing_edges(h, k)
-        if reps:
-            reduction = total_missing / len(reps)
+        ksets = _orbit_representatives(h, k)
+        if ksets:
+            reduction = count_missing_edges(h, k) / len(ksets)
     elif sample is not None:
         mode = "sampled"
         sample_count = sample
         sample_seed = seed
-        picks = _sample_missing(h, k, sample, seed)
-        tasks = [picks[i: i + _LIST_CHUNK] for i in range(0, len(picks), _LIST_CHUNK)]
-        results = _run_tasks(h, f, k, _scan_list, tasks, jobs)
+        ksets = _sample_missing(h, k, sample, seed)
+    if mode == "full":
+        checked, violations_sat = _run_tasks(h, f, k, _scan_first, range(h.n), jobs)
     else:
-        mode = "full"
-        total_ranks = comb(h.n, k)
-        bounds = [
-            (lo, min(lo + _RANGE_CHUNK, total_ranks))
-            for lo in range(0, total_ranks, _RANGE_CHUNK)
-        ]
-        results = _run_tasks(h, f, k, _scan_rank_range, bounds, jobs)
-
-    checked = sum(c for c, _ in results)
-    violations_sat: list[Edge] = []
-    for _, v in results:
-        violations_sat.extend(v)
+        tasks = [ksets[i: i + _LIST_CHUNK] for i in range(0, len(ksets), _LIST_CHUNK)]
+        checked, violations_sat = _run_tasks(h, f, k, _scan_list, tasks, jobs)
 
     return SaturationReport(
         is_free=free,

@@ -1,11 +1,14 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
+from bergesat import engine, saturation
 from bergesat.core import Hypergraph, add_edge, count_missing_edges, missing_edges
 from bergesat.constructions import build_c_k_4, build_c_k_ell, build_s
-from bergesat.invariants import make_clique
+from bergesat.invariants import make_clique, make_cycle, make_path, make_star
+from bergesat.oracle import saturation_violations
 from bergesat.saturation import (
     all_cores_present,
     all_pairs_good,
@@ -13,8 +16,14 @@ from bergesat.saturation import (
     is_saturated,
 )
 
+from conftest import k4_minus_edge
+
 K3 = make_clique(3)
 K4 = make_clique(4)
+REFERENCE_PATTERNS = [
+    K3, K4, make_clique(5), make_cycle(4), make_cycle(5), make_path(4),
+    make_star(3), k4_minus_edge(),
+]
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +61,23 @@ class TestIsSaturated:
 
     def test_worker_count_does_not_change_report(self, s21):
         assert is_saturated(s21, K4, 3, jobs=1) == is_saturated(s21, K4, 3, jobs=8)
+
+    def test_worker_count_does_not_change_violations(self, monkeypatch):
+        # small work units so that every mode really fans out
+        monkeypatch.setattr(saturation, "_LIST_CHUNK", 64)
+        rng = random.Random(5)
+        triples = list(itertools.combinations(range(16), 3))
+        hosts = [
+            (one_edge_removed(rng, 30, 3, 4), K4, 3),
+            (one_edge_removed(rng, 24, 4, 5), make_clique(5), 4),
+            (Hypergraph(16, tuple(sorted(rng.sample(triples, 15)))), k4_minus_edge(), 3),
+        ]
+        for h, f, k in hosts:
+            for kw in ({}, {"orbits": True}, {"sample": 300, "seed": 3}):
+                one = is_saturated(h, f, k, jobs=1, **kw)
+                two = is_saturated(h, f, k, jobs=2, **kw)
+                assert one.violations_sat
+                assert one == two
 
     def test_sampled_mode_is_reproducible(self, s21):
         a = is_saturated(s21, K4, 3, sample=40, seed=11)
@@ -97,6 +123,71 @@ class TestIsSaturated:
         for e in rng.sample(pool, 20):
             free, _ = is_berge_free(add_edge(s21, e), K4)
             assert not free
+
+
+def random_uniform(rng: random.Random, k: int, max_edges: int = 12) -> Hypergraph:
+    n = rng.randint(k, 9)
+    universe = list(itertools.combinations(range(n), k))
+    m = rng.randint(0, min(len(universe), max_edges))
+    return Hypergraph(n, tuple(sorted(rng.sample(universe, m))))
+
+
+def one_edge_removed(rng: random.Random, n: int, k: int, ell: int) -> Hypergraph:
+    h = build_s(n, k, ell)[0]
+    drop = rng.randrange(len(h.edges))
+    return Hypergraph(h.n, h.edges[:drop] + h.edges[drop + 1:])
+
+
+def reference_corpus():
+    rng = random.Random(2024)
+    for k in (2, 3, 4):
+        for f in REFERENCE_PATTERNS:
+            for _ in range(5):
+                yield random_uniform(rng, k), f, k
+    for n, k, ell in ((20, 3, 4), (21, 3, 4), (30, 3, 4), (24, 4, 5)):
+        yield one_edge_removed(rng, n, k, ell), make_clique(ell), k
+
+
+@pytest.fixture
+def probes(monkeypatch):
+    """Counts engine searches on a missing k-set (freeness checks excluded)."""
+    counter = Counter()
+    real_search = engine._search
+
+    def counting_search(*args, **kwargs):
+        if kwargs.get("virtual_edge") is not None:
+            counter["probes"] += 1
+        return real_search(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_search", counting_search)
+    return counter
+
+
+class TestAgainstReference:
+    def test_every_mode_reports_the_reference_violations(self, probes):
+        for seed, (h, f, k) in enumerate(reference_corpus()):
+            expected = saturation_violations(h, f, k)
+            bad = set(expected)
+
+            probes.clear()
+            full = is_saturated(h, f, k)
+            assert full.violations_sat == expected
+            assert full.checked_missing == count_missing_edges(h, k)
+            assert probes["probes"] <= full.checked_missing
+
+            orbit = is_saturated(h, f, k, orbits=True)
+            reps = saturation._orbit_representatives(h, k)
+            assert orbit.violations_sat == [t for t in reps if t in bad]
+            assert bool(orbit.violations_sat) == bool(expected)
+
+            sampled = is_saturated(h, f, k, sample=15, seed=seed)
+            picks = saturation._sample_missing(h, k, 15, seed)
+            assert sampled.violations_sat == [t for t in picks if t in bad]
+
+    def test_saturated_construction_skips_most_probes(self, probes):
+        report = is_saturated(build_s(30, 3, 4)[0], K4, 3)
+        assert report.saturated
+        assert probes["probes"] < report.checked_missing // 4
 
 
 class TestLemmaReports:
