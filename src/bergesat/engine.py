@@ -2,11 +2,12 @@
 
 A hypergraph contains a Berge copy of a pattern graph F when some injective
 placement of V(F) (the core vertices) admits an injective assignment of a
-distinct containing hyperedge to every pattern edge.  The search enumerates
-core placements by backtracking -- unordered core sets when F is complete,
-ordered injections otherwise -- and keeps a bipartite matching between the
-already-placed pattern edges and hyperedges incrementally; a partial
-placement is abandoned the moment that matching stops being perfect.
+distinct containing hyperedge to every pattern edge.  One backtracking search
+places the pattern vertices position by position -- as an unordered core set
+when F is complete, as an ordered injection otherwise -- and keeps a
+bipartite matching between the already-placed pattern edges and hyperedges
+incrementally; a partial placement is abandoned the moment that matching
+stops being perfect.
 
 Pattern vertices are tried in descending pattern-degree order and host
 candidates in descending hyperedge-degree order (ids break ties), and a host
@@ -257,24 +258,26 @@ class _Index:
 class _Pattern:
     """Pattern graph preprocessed for the search."""
 
-    __slots__ = ("nf", "edges", "deg", "is_clique", "order", "back_edges")
+    __slots__ = ("nf", "edges", "deg", "low", "unordered", "order", "back_edges", "demands")
 
     def __init__(self, f: Graph) -> None:
         self.nf = f.n
         self.edges = list(f.edges)
         self.deg = f.degrees()
-        self.is_clique = len(f.edges) == f.n * (f.n - 1) // 2
-        order = sorted(range(f.n), key=lambda x: (-self.deg[x], x))
-        pos = {x: i for i, x in enumerate(order)}
-        back: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in range(f.n)]
-        for x, y in f.edges:
-            i, j = pos[x], pos[y]
-            if i < j:
-                back[j].append((i, (x, y)))
-            else:
-                back[i].append((j, (x, y)))
-        self.order = order
-        self.back_edges = [sorted(b) for b in back]
+        self.low = min(self.deg, default=0)
+        # the vertices of a complete pattern are interchangeable, so its
+        # placements are searched as unordered core sets
+        self.unordered = f.n >= 2 and len(f.edges) == f.n * (f.n - 1) // 2
+        self.order = sorted(range(f.n), key=lambda x: (-self.deg[x], x))
+        pos = {x: i for i, x in enumerate(self.order)}
+        # each pattern edge is a demand of its later-placed endpoint: position
+        # i is joined to the earlier positions back_edges[i], and the matcher's
+        # demands are the pattern edges in placement order
+        ends = sorted(
+            (max(pos[x], pos[y]), min(pos[x], pos[y]), (x, y)) for x, y in f.edges
+        )
+        self.back_edges = [tuple(i for j, i, _ in ends if j == at) for at in range(f.n)]
+        self.demands = [fe for _, _, fe in ends]
 
 
 # ---------------------------------------------------------------------------
@@ -298,209 +301,116 @@ def _search(
     edge additions stay cheap.
     """
     nf = pattern.nf
-    n = index.n
-    if nf > n:
+    if nf > index.n:
         return None
     if len(pattern.edges) > len(index.edges) + (virtual_edge is not None):
         return None
 
-    vset: frozenset[int] = frozenset()
-    vid = -1
-    if virtual_edge is not None:
-        vset = frozenset(virtual_edge)
-        vid = len(index.edges)
-
+    vid = len(index.edges)  # the virtual edge's id
+    vset = frozenset(virtual_edge) if virtual_edge is not None else frozenset()
     req_eid = -1
+    rset: frozenset[int] = frozenset()
     if required_edge is not None:
-        if virtual_edge is not None and required_edge == virtual_edge:
+        if required_edge == virtual_edge:
             req_eid = vid
         else:
             req_eid = index.id_of.get(required_edge, -1)
             if req_eid == -1:
                 return None
-    req_vertices = frozenset(required_edge) if required_edge is not None else None
+        rset = frozenset(required_edge)
 
-    pair_edges_get = index.pair_edges.get
-
-    def supply(a: int, b: int) -> tuple[int, ...]:
-        p = (a, b) if a < b else (b, a)
-        sup = pair_edges_get(p, ())
-        if a in vset and b in vset:
-            sup += (vid,)
-        return sup
-
-    if pattern.is_clique and nf >= 2:
-        return _search_clique(
-            index, pattern, required_core, forbidden_core,
-            req_eid, req_vertices, vset, vid, virtual_edge, supply, want_witness,
-        )
-    return _search_general(
-        index, pattern, required_core, forbidden_core,
-        req_eid, req_vertices, vset, vid, virtual_edge, supply, want_witness,
-    )
-
-
-def _search_clique(
-    index, pattern, required_core, forbidden_core,
-    req_eid, req_vertices, vset, vid, virtual_edge, supply, want_witness,
-):
-    m = pattern.nf
+    # host candidates, best degree (counting the virtual edge) first
     deg = index.deg
-    need = m - 1
-    base = index.candidates(need)
+    low = pattern.low
+    host = index.candidates(low)
     if vset:
-        cands = [w for w in base if w not in forbidden_core]
-        cands.extend(w for w in vset if deg[w] == need - 1 and w not in forbidden_core)
-        cands.sort(key=lambda w: (-(deg[w] + (w in vset)), w))
+        host = [w for w in host if w not in forbidden_core]
+        host.extend(w for w in vset if deg[w] == low - 1 and w not in forbidden_core)
+        host.sort(key=lambda w: (-(deg[w] + (w in vset)), w))
     elif forbidden_core:
-        cands = [w for w in base if w not in forbidden_core]
-    else:
-        cands = base
-    if len(cands) < m:
+        host = [w for w in host if w not in forbidden_core]
+    if required_core and not required_core <= set(host):
         return None
-    if required_core and not required_core <= set(cands):
-        return None
-
-    matcher = _Matcher()
-    chosen: list[int] = []
-    ncands = len(cands)
-
-    def rec(pos: int, in_req_edge: int, req_left: int):
-        depth = len(chosen)
-        if depth == m:
-            if req_left:
-                return None
-            if req_eid >= 0 and not matcher.force_use(req_eid):
-                return None
-            if not want_witness:
-                return True
-            return _clique_witness(index, chosen, matcher, vid, virtual_edge)
-        if ncands - pos < m - depth or req_left > m - depth:
-            return None
-        if req_vertices is not None and in_req_edge + (m - depth) < 2:
-            return None
-        w = cands[pos]
-        required = w in required_core if required_core else False
-        snap = matcher.snapshot()
-        ok = True
-        for x in chosen:
-            if not matcher.push(supply(x, w)):
-                ok = False
-                break
-        if ok:
-            chosen.append(w)
-            res = rec(
-                pos + 1,
-                in_req_edge + (1 if req_vertices and w in req_vertices else 0),
-                req_left - required,
-            )
-            if res:
-                return res
-            chosen.pop()
-        matcher.restore(snap)
-        if required:
-            return None  # a required vertex cannot be skipped
-        return rec(pos + 1, in_req_edge, req_left)
-
-    return rec(0, 0, len(required_core))
-
-
-def _clique_witness(index, chosen, matcher, vid, virtual_edge):
-    m = len(chosen)
-    core_sorted = sorted(chosen)
-    core_map = {t: core_sorted[t] for t in range(m)}
-    pos_of = {v: i for i, v in enumerate(chosen)}
-    edge_map: dict[tuple[int, int], Edge] = {}
-    for t1 in range(m):
-        for t2 in range(t1 + 1, m):
-            i, j = pos_of[core_sorted[t1]], pos_of[core_sorted[t2]]
-            if i > j:
-                i, j = j, i
-            eid = matcher.assigned[j * (j - 1) // 2 + i]
-            edge_map[(t1, t2)] = _edge_vertices(index, eid, vid, virtual_edge)
-    return BergeWitness(core_map, edge_map)
-
-
-def _edge_vertices(index: _Index, eid: int, vid: int, virtual_edge: Edge | None) -> Edge:
-    if eid == vid:
-        return virtual_edge
-    return index.edges[eid]
-
-
-def _search_general(
-    index, pattern, required_core, forbidden_core,
-    req_eid, req_vertices, vset, vid, virtual_edge, supply, want_witness,
-):
-    nf = pattern.nf
-    deg = index.deg
-    order = pattern.order
-    back = pattern.back_edges
+    # position i may only use the prefix of host whose degrees admit its
+    # pattern degree; all of host admits the least pattern degree
     fdeg = pattern.deg
+    limit = []
+    p = 0
+    for x in pattern.order:
+        if fdeg[x] == low:
+            p = len(host)
+        while p < len(host) and deg[host[p]] + (host[p] in vset) >= fdeg[x]:
+            p += 1
+        limit.append(p)
 
-    if vset:
-        host = sorted(range(index.n), key=lambda w: (-(deg[w] + (w in vset)), w))
-
-        def hdeg(w: int) -> int:
-            return deg[w] + (w in vset)
-
-    else:
-        host = index.candidates(0)
-
-        def hdeg(w: int) -> int:
-            return deg[w]
-
+    unordered = pattern.unordered
+    back = pattern.back_edges
+    pair_edges_get = index.pair_edges.get
     matcher = _Matcher()
     image = [-1] * nf
     used: set[int] = set()
-    demand_edges: list[tuple[int, int]] = []
 
-    def rec(i: int, in_req_edge: int):
+    def rec(i: int, start: int, in_req_edge: int, req_left: int):
         if i == nf:
-            if required_core and not required_core <= used:
-                return None
-            if req_eid >= 0 and not matcher.force_use(req_eid):
+            if req_left or (req_eid >= 0 and not matcher.force_use(req_eid)):
                 return None
             if not want_witness:
                 return True
-            core_map = {order[t]: image[t] for t in range(nf)}
-            edge_map = {
-                fe: _edge_vertices(index, matcher.assigned[d], vid, virtual_edge)
-                for d, fe in enumerate(demand_edges)
-            }
-            return BergeWitness(core_map, edge_map)
-        if len(required_core - used) > nf - i:
+            return _witness(index, pattern, image, matcher.assigned, virtual_edge)
+        if req_left > nf - i:
             return None
-        if req_vertices is not None and in_req_edge + (nf - i) < 2:
+        if required_edge is not None and in_req_edge + (nf - i) < 2:
             return None
-        x = order[i]
-        dx = fdeg[x]
-        for w in host:
-            if hdeg(w) < dx:
-                break  # host is sorted by descending degree
-            if w in used or w in forbidden_core:
+        # an unordered core set leaves room for the positions after i
+        stop = limit[i] - (nf - 1 - i) if unordered else limit[i]
+        for p in range(start, stop):
+            w = host[p]
+            if w in used:
                 continue
             snap = matcher.snapshot()
-            pushed = 0
-            ok = True
-            for jpos, fe in back[i]:
-                if not matcher.push(supply(image[jpos], w)):
-                    ok = False
+            for j in back[i]:
+                a = image[j]
+                supply = pair_edges_get((a, w) if a < w else (w, a), ())
+                if a in vset and w in vset:
+                    supply += (vid,)
+                if not matcher.push(supply):
                     break
-                demand_edges.append(fe)
-                pushed += 1
-            if ok:
+            else:
                 image[i] = w
                 used.add(w)
-                res = rec(i + 1, in_req_edge + (1 if req_vertices and w in req_vertices else 0))
+                res = rec(
+                    i + 1,
+                    p + 1 if unordered else 0,
+                    in_req_edge + (w in rset),
+                    req_left - (w in required_core),
+                )
                 if res:
                     return res
                 used.discard(w)
-                image[i] = -1
             matcher.restore(snap)
-            del demand_edges[len(demand_edges) - pushed:]
+            if unordered and w in required_core:
+                return None  # a required vertex cannot be skipped
         return None
 
-    return rec(0, 0)
+    return rec(0, 0, 0, len(required_core))
+
+
+def _witness(index, pattern, image, assigned, virtual_edge) -> BergeWitness:
+    """The witness of a complete placement: ``image[i]`` is the core vertex at
+    position i of the pattern order, and demand d holds hyperedge id
+    ``assigned[d]`` (the id past the last host edge is the virtual edge)."""
+    edges = [index.edges[e] if e < len(index.edges) else virtual_edge for e in assigned]
+    edge_of = dict(zip(pattern.demands, edges))
+    if not pattern.unordered:
+        return BergeWitness(dict(zip(pattern.order, image)), edge_of)
+    # number the core set of a complete pattern in increasing host id
+    core = sorted(image)
+    at = dict(zip(image, pattern.order))
+    edge_map = {}
+    for s, t in pattern.edges:
+        x, y = at[core[s]], at[core[t]]
+        edge_map[(s, t)] = edge_of[(x, y) if x < y else (y, x)]
+    return BergeWitness(dict(enumerate(core)), edge_map)
 
 
 # ---------------------------------------------------------------------------

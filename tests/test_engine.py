@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from bergesat.core import Hypergraph, add_edge, dominates, missing_edges
+from bergesat import engine
+from bergesat.core import Graph, Hypergraph, add_edge, dominates, missing_edges
 from bergesat.constructions import build_c_k_4, build_c_k_ell, build_s
 from bergesat.engine import (
     BergeWitness,
@@ -17,13 +19,16 @@ from bergesat.engine import (
     max_bipartite_matching,
     validate_witness,
 )
-from bergesat.invariants import make_clique, make_path
+from bergesat.invariants import make_clique, make_cycle, make_path, make_star
 from bergesat.oracle import berge_oracle
 
 from conftest import random_hypergraph, small_patterns, hypergraph_with_dominated_pair
 
 K3 = make_clique(3)
 K4 = make_clique(4)
+# small_patterns plus a pattern with an isolated vertex (minimum degree 0)
+# and a star (mixed degrees), the shapes the search's degree filter must handle
+DEGREE_SHAPES = small_patterns() + [Graph(3, ((0, 1),)), make_star(4)]
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +185,7 @@ class TestSoundnessAndAgreement:
         found = 0
         for _ in range(120):
             h = random_hypergraph(rng)
-            f = rng.choice(small_patterns())
+            f = rng.choice(DEGREE_SHAPES)
             w = find_berge_witness(f, h)
             if w is not None:
                 validate_witness(f, h, w)
@@ -191,7 +196,7 @@ class TestSoundnessAndAgreement:
         rng = random.Random(13)
         for _ in range(120):
             h = random_hypergraph(rng)
-            f = rng.choice(small_patterns())
+            f = rng.choice(DEGREE_SHAPES)
             assert contains_berge(f, h) == berge_oracle(f, h)
 
     def test_virtual_probe_matches_materialized_host(self):
@@ -290,7 +295,59 @@ class TestDeterminism:
             "edge: {1,2} -> {1,2,3}\n"
         )
 
-    def test_general_pattern_path(self, tight_cycle):
+    def test_path_witness_validates(self, tight_cycle):
         w = find_berge_witness(make_path(4), tight_cycle)
         assert w is not None
         validate_witness(make_path(4), tight_cycle, w)
+
+
+K23 = Graph(5, tuple((a, b) for a in (0, 1) for b in (2, 3, 4)))
+CORPUS_PATTERNS = small_patterns() + [
+    K4, make_clique(5), make_cycle(5), K23, Graph(3, ((0, 1),)),
+]
+# sha256 of the serialized corpus below; any change to a witness, to the
+# order in which candidates are tried, or to a verdict changes it
+CORPUS_DIGEST = "a39d9a25214c5facfb531ec810ff7c12ecb8f0ab8c983b6126596d20b466de5b"
+
+
+def _corpus_outputs():
+    """Witnesses (or "none") for a fixed seeded corpus: plain and constrained
+    searches, and virtual-edge probes, over random hosts and constructions."""
+    rng = random.Random(20231)
+    hosts = [random_hypergraph(rng) for _ in range(120)]
+    hosts += [random_hypergraph(rng, max_vertices=10, max_edges=16) for _ in range(60)]
+    hosts += [build_c_k_4(3)[0], build_s(20, 3, 4)[0], build_s(24, 4, 5)[0]]
+    for hi, h in enumerate(hosts):
+        index = engine._Index(h)
+        present = h.edge_set()
+        for pi, f in enumerate(CORPUS_PATTERNS):
+            pattern = engine._Pattern(f)
+            req = frozenset(rng.sample(range(h.n), rng.randint(1, 2)))
+            forb = frozenset(rng.sample(range(h.n), rng.randint(1, 2))) - req
+            edge = rng.choice(h.edges) if h.edges else None
+            cases = [
+                ("plain", SearchConstraints()),
+                ("req", SearchConstraints(required_core=req)),
+                ("forb", SearchConstraints(forbidden_core=forb)),
+                ("edge", SearchConstraints(required_edge=edge)),
+                ("req+forb", SearchConstraints(required_core=req, forbidden_core=forb)),
+            ]
+            for name, c in cases:
+                w = find_berge_witness(f, h, c)
+                yield f"{hi} {pi} {name}\n" + (w.serialize() if w else "none\n")
+            for _ in range(3 if hi < 180 else 12):
+                size = rng.randint(2, min(4, h.n))
+                t = tuple(sorted(rng.sample(range(h.n), size)))
+                if t in present:
+                    continue
+                w = engine._search(index, pattern, required_edge=t, virtual_edge=t)
+                yield f"{hi} {pi} virtual {t}\n" + (w.serialize() if w else "none\n")
+
+
+class TestGoldenCorpus:
+    def test_witness_corpus_digest(self):
+        outputs = list(_corpus_outputs())
+        found = sum(not out.endswith("none\n") for out in outputs)
+        assert len(outputs) == 15002 and found == 7121
+        digest = hashlib.sha256("".join(outputs).encode()).hexdigest()
+        assert digest == CORPUS_DIGEST
