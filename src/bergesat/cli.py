@@ -306,7 +306,7 @@ def main(argv=None) -> int:
         if args.command == "invariants":
             return _cmd_invariants(args)
         return _cmd_search(args)
-    except (ParseError, ValueError, OSError) as exc:
+    except (ParseError, ValueError, OSError, RecursionError) as exc:
         _note(f"error: {exc}")
         return EXIT_ERROR
 

@@ -19,7 +19,6 @@ returned for a given input never changes.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 
 from .core import Graph, Hypergraph
@@ -97,70 +96,7 @@ def validate_witness(f: Graph, h: Hypergraph, w: BergeWitness) -> None:
 
 
 # ---------------------------------------------------------------------------
-# bipartite matching
-
-
-def max_bipartite_matching(adjacency: list[tuple[int, ...]]) -> list[int]:
-    """Hopcroft-Karp maximum matching; O(E sqrt(V)).
-
-    ``adjacency[i]`` lists the right-side ids available to left vertex i.
-    Returns the matched right id per left vertex (-1 when unmatched).
-    """
-    nl = len(adjacency)
-    inf = float("inf")
-    match_l = [-1] * nl
-    match_r: dict[int, int] = {}
-    dist = [0.0] * nl
-
-    def bfs() -> bool:
-        queue = deque()
-        for i in range(nl):
-            if match_l[i] == -1:
-                dist[i] = 0
-                queue.append(i)
-            else:
-                dist[i] = inf
-        reachable_free = False
-        while queue:
-            i = queue.popleft()
-            for r in adjacency[i]:
-                j = match_r.get(r, -1)
-                if j == -1:
-                    reachable_free = True
-                elif dist[j] == inf:
-                    dist[j] = dist[i] + 1
-                    queue.append(j)
-        return reachable_free
-
-    def dfs(i: int) -> bool:
-        for r in adjacency[i]:
-            j = match_r.get(r, -1)
-            if j == -1 or (dist[j] == dist[i] + 1 and dfs(j)):
-                match_l[i] = r
-                match_r[r] = i
-                return True
-        dist[i] = inf
-        return False
-
-    while bfs():
-        for i in range(nl):
-            if match_l[i] == -1:
-                dfs(i)
-    return match_l
-
-
-def edge_assignment(
-    demands: list[tuple[int, int]], supply: list[Edge]
-) -> tuple[int, ...] | None:
-    """Injectively assign each demanded pair an index of a containing
-    hyperedge from ``supply``, or None when no perfect assignment exists."""
-    adjacency = []
-    for u, v in demands:
-        adjacency.append(tuple(j for j, e in enumerate(supply) if u in e and v in e))
-    match = max_bipartite_matching(adjacency)
-    if -1 in match:
-        return None
-    return tuple(match)
+# incremental matching
 
 
 class _Matcher:
@@ -290,34 +226,29 @@ def _search(
     required_core: frozenset[int] = frozenset(),
     forbidden_core: frozenset[int] = frozenset(),
     required_edge: Edge | None = None,
-    virtual_edge: Edge | None = None,
-    want_witness: bool = True,
-):
-    """Complete search for one witness; returns BergeWitness, True (when
-    want_witness is False), or None.
+) -> BergeWitness | None:
+    """Complete search for one witness whose edge assignment uses
+    ``required_edge`` (when given); returns the witness or None.
 
-    ``virtual_edge`` is treated as an extra hyperedge appended to the index
-    without rebuilding it, which is how probes over thousands of candidate
+    A ``required_edge`` missing from the index is a probe: it is treated as
+    an extra hyperedge with id ``len(index.edges)``, appended without
+    rebuilding the index, which is how probes over thousands of candidate
     edge additions stay cheap.
     """
     nf = pattern.nf
     if nf > index.n:
         return None
-    if len(pattern.edges) > len(index.edges) + (virtual_edge is not None):
-        return None
-
     vid = len(index.edges)  # the virtual edge's id
-    vset = frozenset(virtual_edge) if virtual_edge is not None else frozenset()
     req_eid = -1
     rset: frozenset[int] = frozenset()
+    vset = rset  # the virtual edge's vertices
     if required_edge is not None:
-        if required_edge == virtual_edge:
-            req_eid = vid
-        else:
-            req_eid = index.id_of.get(required_edge, -1)
-            if req_eid == -1:
-                return None
+        req_eid = index.id_of.get(required_edge, vid)
         rset = frozenset(required_edge)
+        if req_eid == vid:
+            vset = rset
+    if len(pattern.edges) > vid + (req_eid == vid):
+        return None
 
     # host candidates, best degree (counting the virtual edge) first
     deg = index.deg
@@ -354,9 +285,7 @@ def _search(
         if i == nf:
             if req_left or (req_eid >= 0 and not matcher.force_use(req_eid)):
                 return None
-            if not want_witness:
-                return True
-            return _witness(index, pattern, image, matcher.assigned, virtual_edge)
+            return _witness(index, pattern, image, matcher.assigned, required_edge)
         if req_left > nf - i:
             return None
         if required_edge is not None and in_req_edge + (nf - i) < 2:
@@ -427,6 +356,8 @@ def find_berge_witness(
     """
     c = constraints or SearchConstraints()
     index = _Index(h)
+    if c.required_edge is not None and c.required_edge not in index.id_of:
+        return None
     pattern = _Pattern(f)
     return _search(
         index,
@@ -444,24 +375,22 @@ def contains_berge(f: Graph, h: Hypergraph) -> bool:
 def creates_new_berge(h: Hypergraph, e, f: Graph) -> bool:
     """True iff adding ``e`` to ``h`` yields a Berge copy of ``f`` whose edge
     assignment uses ``e``."""
+    t = _as_edge(e, h.n)
+    index = _Index(h)
+    if t in index.id_of:
+        raise ValueError(f"edge {set(t)} already present")
+    return _search(index, _Pattern(f), required_edge=t) is not None
+
+
+def _as_edge(e, n: int) -> Edge:
+    """``e`` as a sorted tuple; ValueError unless it is a set of at least two
+    distinct vertices of [0, n)."""
     t = tuple(sorted(e))
     if len(t) < 2 or len(set(t)) != len(t):
         raise ValueError(f"not a valid hyperedge: {e}")
-    if t[0] < 0 or t[-1] >= h.n:
-        raise ValueError(f"edge {set(t)} out of range for n={h.n}")
-    if t in h.edge_set():
-        raise ValueError(f"edge {set(t)} already present")
-    index = _Index(h)
-    pattern = _Pattern(f)
-    return bool(
-        _search(
-            index,
-            pattern,
-            required_edge=t,
-            virtual_edge=t,
-            want_witness=False,
-        )
-    )
+    if t[0] < 0 or t[-1] >= n:
+        raise ValueError(f"edge {set(t)} out of range for n={n}")
+    return t
 
 
 def is_ell_good(h: Hypergraph, u: int, v: int, ell: int) -> bool:
@@ -499,9 +428,6 @@ def all_subsets_are_cores(h: Hypergraph, m: int) -> CoreCoverageReport:
     report = CoreCoverageReport(subset_size=m, checked=0)
     for subset in itertools.combinations(range(h.n), m):
         report.checked += 1
-        found = _search(
-            index, pattern, required_core=frozenset(subset), want_witness=False
-        )
-        if not found:
+        if _search(index, pattern, required_core=frozenset(subset)) is None:
             report.failures.append(subset)
     return report

@@ -65,21 +65,26 @@ def saturation_violations(h: Hypergraph, f: Graph, k: int) -> list[tuple[int, ..
 def greedy_saturate(h: Hypergraph, f: Graph, k: int, order=None) -> Hypergraph:
     """Add missing k-edges in the given order (lexicographic by default)
     whenever the addition keeps the hypergraph Berge-free; the result is
-    saturated, re-certified by a full verification before returning."""
+    saturated, re-certified by a full verification before returning.
+
+    Candidates are decided like the verifier's missing k-sets, skipping the
+    probe through a pair already proved good."""
     free, _ = saturation.is_berge_free(h, f)
     if not free:
         raise ValueError("hypergraph already contains the pattern")
     if order is None:
         order = missing_edges(h, k)
     current = h
-    present = set(h.edges)
+    index = engine._Index(h)
+    pattern = engine._Pattern(f)
+    good: set[tuple[int, int]] = set()  # stays good as edges are added
     for e in order:
-        t = tuple(sorted(e))
-        if t in present:
+        t = engine._as_edge(e, h.n)
+        if t in index.id_of:
             continue
-        if not engine.creates_new_berge(current, t, f):
+        if not saturation._creates_new(index, pattern, good, t):
             current = add_edge(current, t)
-            present.add(t)
+            index = engine._Index(current)
     report = saturation.is_saturated(current, f, k)
     if not report.saturated:
         raise RuntimeError("greedy completion failed to certify saturation")

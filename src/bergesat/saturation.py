@@ -9,22 +9,26 @@ edges, so swapping them is an automorphism) and checks one representative
 per class -- a large speedup on block-structured inputs, but deliberately
 not a certificate.
 
-Every mode runs the same probe worker.  A missing k-set t creates a new
-Berge copy iff some pair {a, b} inside t does as a bare 2-edge: the pattern
-edge assigned to t has its core images in t, and swapping t for any set
-through a and b that is not an edge keeps the copy valid.  So a probe's
+Every mode, and greedy completion (``oracle.greedy_saturate``), decides a
+missing set with one helper, ``_creates_new``.  A missing set t creates a
+new Berge copy iff some pair {a, b} inside t does as a bare 2-edge: the
+pattern edge assigned to t has its core images in t, and swapping t for any
+set through a and b that is not an edge keeps the copy valid.  So a probe's
 witness proves the core images of t's pattern edge a good pair, and every
-later missing k-set through a good pair needs no probe.  Any other k-set is
-probed, so the violations are exact.
+later missing set through a good pair needs no probe.  Any other set is
+probed, so the answers are exact.  Adding edges to the host keeps every
+copy, so a good pair stays good while greedy completion grows the host.
 
-Missing-edge checks are pure, so they fan out over worker processes and
-merge deterministically: the report is identical for any worker count.
+Missing-edge checks are pure, so they fan out over at most one worker
+process per CPU and merge deterministically: the report is identical for
+any worker count.
 """
 
 from __future__ import annotations
 
 import itertools
 import multiprocessing
+import os
 import random
 import time
 from bisect import bisect_right
@@ -142,24 +146,32 @@ def _init_worker(h: Hypergraph, f: Graph, k: int) -> None:
     _WORK["good"] = set()  # pairs a witness proved good
 
 
+def _creates_new(index, pattern, good: set[tuple[int, int]], t: Edge) -> bool:
+    """Does adding the missing set ``t`` to the indexed host create a new
+    Berge copy?  Answered without a probe when a pair inside ``t`` is in
+    ``good``; otherwise probed, and a witness adds to ``good`` the core
+    images of the pattern edge it assigns to ``t``."""
+    if not good.isdisjoint(itertools.combinations(t, 2)):
+        return True
+    w = engine._search(index, pattern, required_edge=t)
+    if w is None:
+        return False
+    x, y = next(fe for fe, e in w.edge_map.items() if e == t)
+    a, b = w.core_map[x], w.core_map[y]
+    good.add((a, b) if a < b else (b, a))
+    return True
+
+
 def _scan_list(ksets: Iterable[Edge]) -> tuple[int, list[Edge]]:
     """Decide each missing k-set in order: count it, and report it when it
     creates no new Berge copy."""
     index, pattern, good = _WORK["index"], _WORK["pattern"], _WORK["good"]
-    search = engine._search
     checked = 0
     violations: list[Edge] = []
     for t in ksets:
         checked += 1
-        if not good.isdisjoint(itertools.combinations(t, 2)):
-            continue
-        w = search(index, pattern, required_edge=t, virtual_edge=t)
-        if w is None:
+        if not _creates_new(index, pattern, good, t):
             violations.append(t)
-            continue
-        x, y = next(fe for fe, e in w.edge_map.items() if e == t)
-        a, b = w.core_map[x], w.core_map[y]
-        good.add((a, b) if a < b else (b, a))
     return checked, violations
 
 
@@ -172,12 +184,13 @@ def _scan_first(u: int) -> tuple[int, list[Edge]]:
 
 def _run_tasks(h, f, k, worker, tasks, jobs) -> tuple[int, list[Edge]]:
     """Run ``worker`` over ``tasks`` and merge the results in task order."""
-    if jobs <= 1 or len(tasks) <= 1:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         _init_worker(h, f, k)
         results = [worker(t) for t in tasks]
     else:
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(jobs, initializer=_init_worker, initargs=(h, f, k)) as pool:
+        with ctx.Pool(workers, initializer=_init_worker, initargs=(h, f, k)) as pool:
             results = pool.map(worker, tasks)
     violations = [t for _, v in results for t in v]
     return sum(c for c, _ in results), violations

@@ -261,3 +261,15 @@ class TestContract:
     def test_missing_file_exit_two(self, capsys, tmp_path):
         code, _, _ = run(capsys, "invariants", "--graph", str(tmp_path / "nope.g"))
         assert code == 2
+
+    def test_too_deep_search_exit_two(self, capsys, tmp_path):
+        # a 1,500-vertex path pattern recurses past Python's stack limit
+        n = 1500
+        path_edges = "".join(f"{i} {i + 1}\n" for i in range(n - 1))
+        g = tmp_path / "path.g"
+        g.write_text(path_edges)
+        hg = tmp_path / "path.hg"
+        hg.write_text(f"n {n}\n" + path_edges)
+        code, out, err = run(capsys, "check", "contains", "--graph", str(g),
+                             "--hgraph", str(hg))
+        assert code == 2 and out == "" and err.startswith("error: ")

@@ -13,10 +13,8 @@ from bergesat.engine import (
     all_subsets_are_cores,
     contains_berge,
     creates_new_berge,
-    edge_assignment,
     find_berge_witness,
     is_ell_good,
-    max_bipartite_matching,
     validate_witness,
 )
 from bergesat.invariants import make_clique, make_cycle, make_path, make_star
@@ -150,33 +148,6 @@ class TestCoreCoverage:
     def test_subset_size_validated(self, tight_cycle):
         with pytest.raises(ValueError):
             all_subsets_are_cores(tight_cycle, 6)
-
-
-class TestEdgeAssignment:
-    def test_triangle_demands(self, tight_cycle):
-        demands = [(0, 1), (0, 2), (1, 2)]
-        assignment = edge_assignment(demands, list(tight_cycle.edges))
-        assert assignment is not None
-        used = set()
-        for (u, v), j in zip(demands, assignment):
-            e = tight_cycle.edges[j]
-            assert u in e and v in e and j not in used
-            used.add(j)
-
-    def test_injectivity_blocks_duplicates(self):
-        assert edge_assignment([(0, 1), (0, 1)], [(0, 1, 2)]) is None
-
-    def test_empty_demands(self):
-        assert edge_assignment([], []) == ()
-
-    def test_hall_violation(self):
-        assert edge_assignment([(0, 1), (0, 2)], [(0, 1, 2)]) is None
-
-    def test_matching_maximality(self):
-        # left 0 could take either; left 1 needs the first -> both match
-        adj = [(10, 11), (10,)]
-        match = max_bipartite_matching(list(adj))
-        assert sorted(match) == [10, 11]
 
 
 class TestSoundnessAndAgreement:
@@ -340,7 +311,7 @@ def _corpus_outputs():
                 t = tuple(sorted(rng.sample(range(h.n), size)))
                 if t in present:
                     continue
-                w = engine._search(index, pattern, required_edge=t, virtual_edge=t)
+                w = engine._search(index, pattern, required_edge=t)
                 yield f"{hi} {pi} virtual {t}\n" + (w.serialize() if w else "none\n")
 
 

@@ -1,12 +1,14 @@
+import itertools
 import random
 from math import ceil, comb
 
 import pytest
 
-from bergesat.core import Hypergraph, missing_edges
+from bergesat import engine, saturation
+from bergesat.core import Hypergraph, add_edge, missing_edges
 from bergesat.constructions import build_h_min_deg
-from bergesat.engine import contains_berge
-from bergesat.invariants import make_clique
+from bergesat.engine import contains_berge, creates_new_berge
+from bergesat.invariants import make_clique, make_cycle, make_path, make_star
 from bergesat.oracle import (
     berge_oracle,
     greedy_saturate,
@@ -14,7 +16,7 @@ from bergesat.oracle import (
 )
 from bergesat.saturation import is_saturated
 
-from conftest import random_hypergraph, small_patterns
+from conftest import k4_minus_edge, random_hypergraph, small_patterns
 
 K3 = make_clique(3)
 K4 = make_clique(4)
@@ -73,6 +75,79 @@ class TestGreedySaturate:
         a = greedy_saturate(Hypergraph(5, ()), K3, 3, order=reverse)
         b = greedy_saturate(Hypergraph(5, ()), K3, 3, order=reverse)
         assert a == b and is_saturated(a, K3, 3).saturated
+
+
+def reference_greedy(h, f, k, order=None):
+    """The slow greedy loop: one independent probe on the materialized host
+    per candidate, no shortcut through pairs already proved good."""
+    current = h
+    for e in missing_edges(h, k) if order is None else order:
+        t = tuple(sorted(e))
+        if t in current.edge_set():
+            continue
+        if not creates_new_berge(current, t, f):
+            current = add_edge(current, t)
+    return current
+
+
+def random_free_start(rng, n, k, f):
+    """A Berge-F-free k-uniform hypergraph with a few random edges."""
+    h = Hypergraph(n, ())
+    for _ in range(rng.randint(0, 4)):
+        t = tuple(sorted(rng.sample(range(n), k)))
+        if t not in h.edge_set() and not creates_new_berge(h, t, f):
+            h = add_edge(h, t)
+    return h
+
+
+GREEDY_PATTERNS = [
+    K3, K4, make_cycle(4), make_cycle(5), make_path(4), make_star(3), k4_minus_edge(),
+]
+
+
+class TestGreedyAgainstReference:
+    def test_matches_slow_loop(self):
+        rng = random.Random(31)
+        for k in (3, 4):
+            for f in GREEDY_PATTERNS:
+                for _ in range(3):
+                    h = random_free_start(rng, rng.randint(k + 2, 8), k, f)
+                    shuffled = list(missing_edges(h, k))
+                    rng.shuffle(shuffled)
+                    duplicated = shuffled + shuffled[::2] + list(h.edges)
+                    rng.shuffle(duplicated)
+                    for order in (None, shuffled, duplicated):
+                        expected = reference_greedy(h, f, k, order)
+                        got = greedy_saturate(h, f, k, order)
+                        assert got.edges == expected.edges
+
+    def test_pair_shortcut_saves_probes(self, monkeypatch):
+        # probes on a candidate, counted until the final certification
+        calls = {"probes": 0, "before_certify": None}
+        real_search = engine._search
+        real_is_saturated = saturation.is_saturated
+
+        def counting_search(*args, **kwargs):
+            if kwargs.get("required_edge") is not None:
+                calls["probes"] += 1
+            return real_search(*args, **kwargs)
+
+        def marking_is_saturated(*args, **kwargs):
+            calls["before_certify"] = calls["probes"]
+            return real_is_saturated(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "_search", counting_search)
+        monkeypatch.setattr(saturation, "is_saturated", marking_is_saturated)
+        empty = Hypergraph(12, ())
+        candidates = comb(12, 3)
+        greedy_saturate(empty, K4, 3)
+        assert 0 < calls["before_certify"] < candidates // 2
+
+    @pytest.mark.parametrize("bad", [(0, 1, 5), (0, 1, -1), (2, 2, 3), (4,)])
+    def test_invalid_candidate_rejected(self, bad):
+        order = list(itertools.islice(missing_edges(Hypergraph(5, ()), 3), 2)) + [bad]
+        with pytest.raises(ValueError):
+            greedy_saturate(Hypergraph(5, ()), K3, 3, order=order)
 
 
 class TestMinSaturationSearch:

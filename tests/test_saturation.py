@@ -79,6 +79,39 @@ class TestIsSaturated:
                 assert one.violations_sat
                 assert one == two
 
+    def test_worker_count_is_clamped(self, monkeypatch, s21):
+        # a stand-in pool records its requested size and runs in-process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, processes, initializer, initargs):
+                sizes.append(processes)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, worker, tasks):
+                return [worker(t) for t in tasks]
+
+        class RecordingContext:
+            Pool = RecordingPool
+
+        expected = is_saturated(s21, K4, 3)
+        monkeypatch.setattr(saturation.multiprocessing, "get_context",
+                            lambda method: RecordingContext())
+        monkeypatch.setattr(saturation.os, "cpu_count", lambda: 4)
+        assert is_saturated(s21, K4, 3, jobs=100_000) == expected
+        assert is_saturated(s21, K4, 3, jobs=3) == expected
+        small = Hypergraph(3, ())  # one missing triple, so three tasks
+        assert is_saturated(small, K3, 3, jobs=100_000).checked_missing == 1
+        monkeypatch.setattr(saturation.os, "cpu_count", lambda: None)
+        assert is_saturated(s21, K4, 3, jobs=100_000) == expected
+        assert sizes == [4, 3, 3]
+
     def test_sampled_mode_is_reproducible(self, s21):
         a = is_saturated(s21, K4, 3, sample=40, seed=11)
         b = is_saturated(s21, K4, 3, sample=40, seed=11)
@@ -155,7 +188,7 @@ def probes(monkeypatch):
     real_search = engine._search
 
     def counting_search(*args, **kwargs):
-        if kwargs.get("virtual_edge") is not None:
+        if kwargs.get("required_edge") is not None:
             counter["probes"] += 1
         return real_search(*args, **kwargs)
 
