@@ -3,7 +3,7 @@
 One JSON object per invocation goes to stdout (stable keys, sorted, no
 timing), human-readable notes go to stderr.  Exit codes: 0 when the checked
 property holds or generation succeeded, 1 when the property fails, 2 on
-usage or input errors.
+usage or input errors, on an internal failure and on Ctrl-C.
 """
 
 from __future__ import annotations
@@ -306,8 +306,13 @@ def main(argv=None) -> int:
         if args.command == "invariants":
             return _cmd_invariants(args)
         return _cmd_search(args)
-    except (ParseError, ValueError, OSError, RecursionError) as exc:
+    # RuntimeError covers RecursionError (a search too deep for the stack)
+    # and greedy's failed final certification
+    except (ParseError, ValueError, OSError, RuntimeError) as exc:
         _note(f"error: {exc}")
+        return EXIT_ERROR
+    except KeyboardInterrupt:
+        _note("error: interrupted")
         return EXIT_ERROR
 
 

@@ -14,6 +14,16 @@ candidates in descending hyperedge-degree order (ids break ties), and a host
 vertex is a candidate for a pattern vertex only if its hyperedge degree is at
 least the pattern degree.  All iteration orders are fixed, so the witness
 returned for a given input never changes.
+
+A search with a required edge gives up on a partial placement once no
+pattern edge can still end with both endpoints inside that edge: an edge
+already placed inside it qualifies, an edge with one endpoint placed inside
+needs one unused vertex of it, and an unplaced edge needs two.  For a
+complete pattern this is "fewer than two positions can still land inside".
+The prune removes only placements whose matching could never be rerouted
+onto the required edge, so the first witness found is unchanged.  The
+matcher is snapshotted only before a candidate's first push; a candidate
+rejected by an empty supply before that has changed nothing to restore.
 """
 
 from __future__ import annotations
@@ -194,7 +204,10 @@ class _Index:
 class _Pattern:
     """Pattern graph preprocessed for the search."""
 
-    __slots__ = ("nf", "edges", "deg", "low", "unordered", "order", "back_edges", "demands")
+    __slots__ = (
+        "nf", "edges", "deg", "low", "unordered", "order", "back_edges", "demands",
+        "last_nbr", "last_pair",
+    )
 
     def __init__(self, f: Graph) -> None:
         self.nf = f.n
@@ -214,6 +227,14 @@ class _Pattern:
         )
         self.back_edges = [tuple(i for j, i, _ in ends if j == at) for at in range(f.n)]
         self.demands = [fe for _, _, fe in ends]
+        # for the required-edge prune: the latest position joined to each
+        # position, and the latest position at which some pattern edge still
+        # has both endpoints unplaced (-1 when there is none)
+        self.last_nbr = [-1] * f.n
+        for j, i, _ in ends:
+            self.last_nbr[i] = max(self.last_nbr[i], j)
+            self.last_nbr[j] = max(self.last_nbr[j], i)
+        self.last_pair = max((i for _, i, _ in ends), default=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -277,18 +298,31 @@ def _search(
     unordered = pattern.unordered
     back = pattern.back_edges
     pair_edges_get = index.pair_edges.get
+    # a complete pattern needs two positions that can still land inside the
+    # required edge; any other needs a pattern edge that can
+    prune = required_edge is not None and not unordered
+    last_nbr = pattern.last_nbr
+    last_pair = pattern.last_pair
+    rsize = len(rset)
     matcher = _Matcher()
     image = [-1] * nf
     used: set[int] = set()
 
-    def rec(i: int, start: int, in_req_edge: int, req_left: int):
+    # reach is nf once a placed pattern edge lies inside the required edge,
+    # else the latest position joined to a placed position inside it
+    def rec(i: int, start: int, in_req_edge: int, req_left: int, reach: int):
         if i == nf:
             if req_left or (req_eid >= 0 and not matcher.force_use(req_eid)):
                 return None
             return _witness(index, pattern, image, matcher.assigned, required_edge)
         if req_left > nf - i:
             return None
-        if required_edge is not None and in_req_edge + (nf - i) < 2:
+        if prune:
+            if reach < nf:
+                free = rsize - in_req_edge
+                if not ((free and reach >= i) or (free >= 2 and i <= last_pair)):
+                    return None
+        elif required_edge is not None and in_req_edge + (nf - i) < 2:
             return None
         # an unordered core set leaves room for the positions after i
         stop = limit[i] - (nf - 1 - i) if unordered else limit[i]
@@ -296,32 +330,44 @@ def _search(
             w = host[p]
             if w in used:
                 continue
-            snap = matcher.snapshot()
+            # snapshot only before the first push: a candidate turned down by
+            # an empty supply has changed nothing
+            snap = None
             for j in back[i]:
                 a = image[j]
                 supply = pair_edges_get((a, w) if a < w else (w, a), ())
                 if a in vset and w in vset:
                     supply += (vid,)
+                if not supply:
+                    break
+                if snap is None:
+                    snap = matcher.snapshot()
                 if not matcher.push(supply):
                     break
             else:
                 image[i] = w
                 used.add(w)
+                next_reach = reach
+                if prune and w in rset:
+                    inside = any(image[j] in rset for j in back[i])
+                    next_reach = max(reach, nf if inside else last_nbr[i])
                 res = rec(
                     i + 1,
                     p + 1 if unordered else 0,
                     in_req_edge + (w in rset),
                     req_left - (w in required_core),
+                    next_reach,
                 )
                 if res:
                     return res
                 used.discard(w)
-            matcher.restore(snap)
+            if snap is not None:
+                matcher.restore(snap)
             if unordered and w in required_core:
                 return None  # a required vertex cannot be skipped
         return None
 
-    return rec(0, 0, 0, len(required_core))
+    return rec(0, 0, 0, len(required_core), -1)
 
 
 def _witness(index, pattern, image, assigned, virtual_edge) -> BergeWitness:

@@ -101,8 +101,38 @@ class SearchResult:
 
 
 def _canonical_form(edge_subset, n: int):
+    """A relabelling of ``edge_subset`` that is equal for two subsets iff
+    they are isomorphic.
+
+    Each vertex is keyed by its degree in the subset plus the sorted degree
+    profiles of the edges containing it.  The cells of equal key are ordered
+    by key, and the form is the least relabelled edge list over only the
+    permutations that map each cell onto its own block of positions.  The
+    keys do not depend on vertex labels, so an isomorphism between two
+    subsets maps cells onto cells of the same key and size, and carries the
+    cell-respecting relabellings of one onto those of the other: the two
+    minima are taken over the same relabelled edge lists and are equal.
+    Conversely, equal forms are both relabellings of the same edge list.
+    """
+    deg = [0] * n
+    for e in edge_subset:
+        for v in e:
+            deg[v] += 1
+    profiles: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    for e in edge_subset:
+        profile = tuple(sorted(deg[v] for v in e))
+        for v in e:
+            profiles[v].append(profile)
+    keys = [(deg[v], tuple(sorted(profiles[v]))) for v in range(n)]
+    cells: dict = {}
+    for v in range(n):
+        cells.setdefault(keys[v], []).append(v)
+    blocks = [cells[key] for key in sorted(cells)]
     best = None
-    for perm in itertools.permutations(range(n)):
+    perm = [0] * n
+    for arrangement in itertools.product(*map(itertools.permutations, blocks)):
+        for pos, v in enumerate(itertools.chain.from_iterable(arrangement)):
+            perm[v] = pos
         relabeled = tuple(sorted(tuple(sorted(perm[v] for v in e)) for e in edge_subset))
         if best is None or relabeled < best:
             best = relabeled
@@ -124,9 +154,11 @@ def min_saturation_search(
 
     The witness returned is the lexicographically least subset of minimum
     size.  Isomorph rejection (off by default, so the naive path stays the
-    trusted oracle) skips subsets whose canonical relabelling was already
-    seen; a skipped subset is isomorphic to an earlier failed one, so the
-    result is unchanged.
+    trusted oracle) skips a subset iff its canonical form was already seen,
+    that is iff it is isomorphic to an earlier subset, which failed; so
+    ``m_star``, ``witness_h`` and ``examined`` are unchanged.  The form
+    minimises only over relabellings that respect an invariant vertex
+    partition, so rejection costs less than the saturation checks it saves.
     """
     if comb(n, k) > MAX_SEARCH_KSETS:
         raise ValueError(f"C({n},{k}) exceeds the cap of {MAX_SEARCH_KSETS} possible edges")

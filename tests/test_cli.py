@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from bergesat import cli, saturation
 from bergesat.cli import main
 from bergesat.core import parse_hypergraph
 
@@ -273,3 +274,25 @@ class TestContract:
         code, out, err = run(capsys, "check", "contains", "--graph", str(g),
                              "--hgraph", str(hg))
         assert code == 2 and out == "" and err.startswith("error: ")
+
+    def test_uncertified_greedy_exit_two(self, capsys, monkeypatch, tmp_path, k4_path,
+                                         tight_cycle_path):
+        def uncertified(h, f, k):
+            return saturation.SaturationReport(
+                is_free=True, violations_free=[], checked_missing=1,
+                violations_sat=[(0, 1, 2)], mode="full",
+            )
+
+        monkeypatch.setattr(saturation, "is_saturated", uncertified)
+        code, out, err = run(capsys, "search", "greedy",
+                             "--hgraph", str(tight_cycle_path), "--graph", str(k4_path),
+                             "--k", "3", "-o", str(tmp_path / "done.hg"))
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+    def test_interrupt_exit_two(self, capsys, monkeypatch):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_cmd_invariants", interrupted)
+        code, out, err = run(capsys, "invariants", "--graph", "unread.g")
+        assert code == 2 and out == "" and err == "error: interrupted\n"

@@ -20,7 +20,12 @@ from bergesat.engine import (
 from bergesat.invariants import make_clique, make_cycle, make_path, make_star
 from bergesat.oracle import berge_oracle
 
-from conftest import random_hypergraph, small_patterns, hypergraph_with_dominated_pair
+from conftest import (
+    hypergraph_with_dominated_pair,
+    k4_minus_edge,
+    random_hypergraph,
+    small_patterns,
+)
 
 K3 = make_clique(3)
 K4 = make_clique(4)
@@ -194,6 +199,74 @@ class TestSoundnessAndAgreement:
                 continue
             for e in itertools.islice(missing_edges(h, 3), 3):
                 assert contains_berge(f, add_edge(h, e))
+
+
+K23 = Graph(5, ((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)))
+PRUNED_SHAPES = [make_path(4), make_cycle(4), make_cycle(5), make_star(3),
+                 k4_minus_edge(), K23]
+
+
+class TestRequiredEdgePrune:
+    """The required-edge prune and the lazy matcher snapshot only skip
+    branches that cannot change the answer, and they do skip them."""
+
+    def test_probes_match_oracle_on_free_hosts(self):
+        rng = random.Random(503)
+        verdicts = {True: 0, False: 0}
+        for _ in range(160):
+            h = random_hypergraph(rng, max_vertices=7, max_edges=6, max_edge_size=3)
+            f = rng.choice(PRUNED_SHAPES)
+            if contains_berge(f, h):
+                continue
+            present = h.edge_set()
+            for _ in range(3):
+                t = tuple(sorted(rng.sample(range(h.n), rng.randint(2, min(4, h.n)))))
+                if t in present:
+                    continue
+                probe = creates_new_berge(h, t, f)
+                assert probe == berge_oracle(f, add_edge(h, t)), (h, t, f.edges)
+                verdicts[probe] += 1
+        assert verdicts[True] > 20 and verdicts[False] > 20
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls = [0]
+        real = getattr(engine._Matcher, name)
+
+        def counting(self, *args):
+            calls[0] += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(engine._Matcher, name, counting)
+        return calls
+
+    def test_prune_cuts_path_probes(self, monkeypatch):
+        # these 20 probes make 126 pushes, and 3,365 without the prune
+        h = build_s(40, 3, 4)[0]
+        index = engine._Index(h)
+        pattern = engine._Pattern(make_path(4))
+        probes = list(itertools.islice(missing_edges(h, 3), 0, 4000, 200))
+        pushes = self._count(monkeypatch, "push")
+        found = [engine._search(index, pattern, required_edge=t) for t in probes]
+        assert all(found)
+        assert pushes[0] < 1000
+
+    def test_snapshot_taken_only_before_a_push(self, monkeypatch):
+        # clique probes and plain searches, which the prune does not touch:
+        # 1,014 snapshots, and 1,957 with one snapshot per candidate
+        snapshots = self._count(monkeypatch, "snapshot")
+        rng = random.Random(5)
+        found = 0
+        for _ in range(40):
+            h = random_hypergraph(rng, max_vertices=12, max_edges=8, max_edge_size=3)
+            index = engine._Index(h)
+            for f, probes in ((K3, 5), (K4, 5), (make_cycle(4), 0)):
+                pattern = engine._Pattern(f)
+                found += engine._search(index, pattern) is not None
+                for t in itertools.islice(missing_edges(h, 3), probes):
+                    found += engine._search(index, pattern, required_edge=t) is not None
+        assert found == 106
+        assert snapshots[0] < 1500
 
 
 class TestDominanceTransfer:

@@ -10,6 +10,7 @@ from bergesat.constructions import build_h_min_deg
 from bergesat.engine import contains_berge, creates_new_berge
 from bergesat.invariants import make_clique, make_cycle, make_path, make_star
 from bergesat.oracle import (
+    _canonical_form,
     berge_oracle,
     greedy_saturate,
     min_saturation_search,
@@ -184,3 +185,74 @@ class TestMinSaturationSearch:
             min_saturation_search(8, 3, K3, 3)  # C(8,3) = 56 > 25
         with pytest.raises(ValueError):
             min_saturation_search(5, 3, K3, 7)
+
+
+def brute_forms(n, k, m_max):
+    """The least relabelling over all n! permutations, for every subset of at
+    most m_max k-sets, computed once per isomorphism class."""
+    universe = list(itertools.combinations(range(n), k))
+    perms = list(itertools.permutations(range(n)))
+    form = {}
+    for m in range(m_max + 1):
+        for subset in itertools.combinations(universe, m):
+            if subset in form:
+                continue
+            images = {
+                tuple(sorted(tuple(sorted(p[v] for v in e)) for e in subset)) for p in perms
+            }
+            least = min(images)
+            for image in images:
+                form[image] = least
+    return form
+
+
+class TestCanonicalForm:
+    @pytest.mark.parametrize("n,k", [(5, 2), (5, 3), (6, 2), (6, 3)])
+    def test_classes_match_brute_force(self, n, k):
+        brute = brute_forms(n, k, 3)
+        pairs = {(_canonical_form(s, n), b) for s, b in brute.items()}
+        classes = set(brute.values())
+        # one form per class, and no form shared by two classes
+        assert len(pairs) == len(classes) == len({c for c, _ in pairs})
+
+    def test_invariant_under_relabelling(self):
+        rng = random.Random(31)
+        for n, k in ((6, 3), (7, 3), (6, 2)):
+            universe = list(itertools.combinations(range(n), k))
+            for m in range(4, 7):
+                for _ in range(15):
+                    subset = rng.sample(universe, m)
+                    p = rng.sample(range(n), n)
+                    moved = [tuple(sorted(p[v] for v in e)) for e in subset]
+                    assert _canonical_form(moved, n) == _canonical_form(subset, n)
+
+    def test_tries_only_cell_respecting_relabellings(self, monkeypatch):
+        # all n! relabellings of every subset of at most 3 triples on 6
+        # vertices are 1,351 * 720 = 972,720 permutations
+        real = itertools.permutations
+        drawn = [0]
+
+        def counting(*args):
+            for p in real(*args):
+                drawn[0] += 1
+                yield p
+
+        universe = list(itertools.combinations(range(6), 3))
+        subsets = [s for m in range(4) for s in itertools.combinations(universe, m)]
+        monkeypatch.setattr(itertools, "permutations", counting)
+        for subset in subsets:
+            _canonical_form(subset, 6)
+        assert drawn[0] < len(subsets) * 720 // 10
+
+    @pytest.mark.parametrize("n,k", [(5, 2), (5, 3), (6, 2), (6, 3)])
+    @pytest.mark.parametrize("f", [K3, make_path(3)], ids=["K3", "P3"])
+    def test_search_result_unchanged(self, n, k, f):
+        m_max = 4 if n == 5 else 3
+        plain = min_saturation_search(n, k, f, m_max)
+        pruned = min_saturation_search(n, k, f, m_max, isomorph_reject=True)
+        if plain is None:
+            assert pruned is None
+        else:
+            assert (plain.m_star, plain.witness_h, plain.examined) == (
+                pruned.m_star, pruned.witness_h, pruned.examined
+            )
