@@ -279,7 +279,13 @@ def _cmd_search(args) -> int:
     # greedy
     h = _read_hypergraph(args.hgraph)
     f = _read_graph(args.graph)
-    completed = oracle.greedy_saturate(h, f, args.k)
+    try:
+        completed = oracle.greedy_saturate(h, f, args.k)
+    except RecursionError:
+        raise
+    except RuntimeError as exc:  # the final certification failed
+        _note(f"error: {exc}")
+        return EXIT_ERROR
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(serialize_hypergraph(completed))
     _emit({"edges_before": len(h.edges),
@@ -306,9 +312,7 @@ def main(argv=None) -> int:
         if args.command == "invariants":
             return _cmd_invariants(args)
         return _cmd_search(args)
-    # RuntimeError covers RecursionError (a search too deep for the stack)
-    # and greedy's failed final certification
-    except (ParseError, ValueError, OSError, RuntimeError) as exc:
+    except (ParseError, ValueError, OSError, RecursionError) as exc:
         _note(f"error: {exc}")
         return EXIT_ERROR
     except KeyboardInterrupt:

@@ -298,9 +298,8 @@ def _search(
     unordered = pattern.unordered
     back = pattern.back_edges
     pair_edges_get = index.pair_edges.get
-    # a complete pattern needs two positions that can still land inside the
-    # required edge; any other needs a pattern edge that can
-    prune = required_edge is not None and not unordered
+    # give up once no pattern edge can still land inside the required edge
+    prune = required_edge is not None
     last_nbr = pattern.last_nbr
     last_pair = pattern.last_pair
     rsize = len(rset)
@@ -322,8 +321,6 @@ def _search(
                 free = rsize - in_req_edge
                 if not ((free and reach >= i) or (free >= 2 and i <= last_pair)):
                     return None
-        elif required_edge is not None and in_req_edge + (nf - i) < 2:
-            return None
         # an unordered core set leaves room for the positions after i
         stop = limit[i] - (nf - 1 - i) if unordered else limit[i]
         for p in range(start, stop):

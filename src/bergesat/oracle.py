@@ -128,10 +128,15 @@ def _canonical_form(edge_subset, n: int):
     for v in range(n):
         cells.setdefault(keys[v], []).append(v)
     blocks = [cells[key] for key in sorted(cells)]
+    # vertices of degree 0 lie in no edge, so every order of their cell (the
+    # first, if any) gives the same edge list: they stay out of the product
+    start = 0
+    if blocks and deg[blocks[0][0]] == 0:
+        start = len(blocks.pop(0))
     best = None
     perm = [0] * n
     for arrangement in itertools.product(*map(itertools.permutations, blocks)):
-        for pos, v in enumerate(itertools.chain.from_iterable(arrangement)):
+        for pos, v in enumerate(itertools.chain.from_iterable(arrangement), start):
             perm[v] = pos
         relabeled = tuple(sorted(tuple(sorted(perm[v] for v in e)) for e in edge_subset))
         if best is None or relabeled < best:

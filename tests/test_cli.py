@@ -289,6 +289,14 @@ class TestContract:
                              "--k", "3", "-o", str(tmp_path / "done.hg"))
         assert code == 2 and out == "" and err.startswith("error: ")
 
+    def test_internal_runtime_error_not_hidden(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("internal fault")
+
+        monkeypatch.setattr(cli, "_cmd_invariants", broken)
+        with pytest.raises(RuntimeError, match="internal fault"):
+            cli.main(["invariants", "--graph", "unread.g"])
+
     def test_interrupt_exit_two(self, capsys, monkeypatch):
         def interrupted(args):
             raise KeyboardInterrupt

@@ -226,9 +226,8 @@ class TestCanonicalForm:
                     moved = [tuple(sorted(p[v] for v in e)) for e in subset]
                     assert _canonical_form(moved, n) == _canonical_form(subset, n)
 
-    def test_tries_only_cell_respecting_relabellings(self, monkeypatch):
-        # all n! relabellings of every subset of at most 3 triples on 6
-        # vertices are 1,351 * 720 = 972,720 permutations
+    @staticmethod
+    def count_permutations(monkeypatch):
         real = itertools.permutations
         drawn = [0]
 
@@ -237,12 +236,25 @@ class TestCanonicalForm:
                 drawn[0] += 1
                 yield p
 
+        monkeypatch.setattr(itertools, "permutations", counting)
+        return drawn
+
+    def test_tries_only_cell_respecting_relabellings(self, monkeypatch):
+        # all n! relabellings of every subset of at most 3 triples on 6
+        # vertices are 1,351 * 720 = 972,720 permutations
         universe = list(itertools.combinations(range(6), 3))
         subsets = [s for m in range(4) for s in itertools.combinations(universe, m)]
-        monkeypatch.setattr(itertools, "permutations", counting)
+        drawn = self.count_permutations(monkeypatch)
         for subset in subsets:
             _canonical_form(subset, 6)
         assert drawn[0] < len(subsets) * 720 // 10
+
+    def test_isolated_vertices_are_not_permuted(self, monkeypatch):
+        # the 6 isolated vertices would add 6! = 720 orders of their cell
+        drawn = self.count_permutations(monkeypatch)
+        assert _canonical_form([(3, 5)], 8) == ((6, 7),)
+        assert _canonical_form([], 8) == ()
+        assert drawn[0] == 2
 
     @pytest.mark.parametrize("n,k", [(5, 2), (5, 3), (6, 2), (6, 3)])
     @pytest.mark.parametrize("f", [K3, make_path(3)], ids=["K3", "P3"])
