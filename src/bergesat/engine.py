@@ -173,20 +173,26 @@ class _Index:
 
     def __init__(self, h: Hypergraph) -> None:
         self.n = h.n
-        self.edges: list[Edge] = list(h.edges)
-        deg = [0] * h.n
-        pair_edges: dict[tuple[int, int], list[int]] = {}
-        for eid, e in enumerate(self.edges):
-            for v in e:
-                deg[v] += 1
-            for p in itertools.combinations(e, 2):
-                pair_edges.setdefault(p, []).append(eid)
-        self.deg = deg
-        self.pair_edges: dict[tuple[int, int], tuple[int, ...]] = {
-            p: tuple(ids) for p, ids in pair_edges.items()
-        }
-        self.id_of: dict[Edge, int] = {e: i for i, e in enumerate(self.edges)}
+        self.edges: list[Edge] = []
+        self.deg = [0] * h.n
+        self.pair_edges: dict[tuple[int, int], tuple[int, ...]] = {}
+        self.id_of: dict[Edge, int] = {}
         self._cands: dict[int, list[int]] = {}
+        for e in h.edges:
+            self.add(e)
+
+    def add(self, e: Edge) -> None:
+        """Index the sorted, absent hyperedge ``e`` under the next id."""
+        eid = len(self.edges)
+        self.edges.append(e)
+        self.id_of[e] = eid
+        deg = self.deg
+        for v in e:
+            deg[v] += 1
+        pair_edges = self.pair_edges
+        for p in itertools.combinations(e, 2):
+            pair_edges[p] = pair_edges.get(p, ()) + (eid,)
+        self._cands.clear()
 
     def candidates(self, need: int) -> list[int]:
         """Vertices of hyperedge degree >= need, best degree first."""

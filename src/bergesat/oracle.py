@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import comb
 
 from . import engine, saturation
-from .core import Graph, Hypergraph, add_edge, missing_edges
+from .core import Graph, Hypergraph, add_edge, is_k_uniform, missing_edges
 
 MAX_ORACLE_PATTERN_EDGES = 6
 MAX_ORACLE_HOST_EDGES = 8
@@ -68,23 +68,24 @@ def greedy_saturate(h: Hypergraph, f: Graph, k: int, order=None) -> Hypergraph:
     saturated, re-certified by a full verification before returning.
 
     Candidates are decided like the verifier's missing k-sets, skipping the
-    probe through a pair already proved good."""
+    probe through a pair already proved good, against one index that grows
+    by each accepted edge.  Only a caller-supplied order needs validating."""
     free, _ = saturation.is_berge_free(h, f)
     if not free:
         raise ValueError("hypergraph already contains the pattern")
+    if not is_k_uniform(h, k):
+        raise ValueError(f"hypergraph is not {k}-uniform")
     if order is None:
-        order = missing_edges(h, k)
-    current = h
+        candidates = missing_edges(h, k)
+    else:
+        candidates = (engine._as_edge(e, h.n) for e in order)
     index = engine._Index(h)
     pattern = engine._Pattern(f)
     good: set[tuple[int, int]] = set()  # stays good as edges are added
-    for e in order:
-        t = engine._as_edge(e, h.n)
-        if t in index.id_of:
-            continue
-        if not saturation._creates_new(index, pattern, good, t):
-            current = add_edge(current, t)
-            index = engine._Index(current)
+    for t in candidates:
+        if t not in index.id_of and not saturation._creates_new(index, pattern, good, t):
+            index.add(t)
+    current = Hypergraph(h.n, tuple(index.edges))
     report = saturation.is_saturated(current, f, k)
     if not report.saturated:
         raise RuntimeError("greedy completion failed to certify saturation")

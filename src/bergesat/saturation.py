@@ -20,8 +20,11 @@ probed, so the answers are exact.  Adding edges to the host keeps every
 copy, so a good pair stays good while greedy completion grows the host.
 
 Missing-edge checks are pure, so they fan out over at most one worker
-process per CPU and merge deterministically: the report is identical for
-any worker count.
+process per CPU, started by the platform's default method, and merge
+deterministically: the report is identical for any worker count.  A worker
+returns only the violations of its task, in order.  The count of checked
+sets is known without the scan: C(n, k) - |E| in full mode, and the length
+of the list in sampled and orbit modes.
 """
 
 from __future__ import annotations
@@ -31,8 +34,6 @@ import multiprocessing
 import os
 import random
 import time
-from bisect import bisect_right
-from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from math import comb
@@ -90,7 +91,8 @@ def all_pairs_good(h: Hypergraph, ell: int) -> PairGoodnessReport:
     it create a new Berge clique on ``ell`` vertices?"""
     from .invariants import make_clique
 
-    checked, failures = _run_tasks(h, make_clique(ell), 2, _scan_first, range(h.n), 1)
+    failures = _run_tasks(h, make_clique(ell), 2, _scan_first, range(h.n), 1)
+    checked = count_missing_edges(h, 2)
     return PairGoodnessReport(checked=checked, good=checked - len(failures),
                               failures=failures)
 
@@ -162,38 +164,30 @@ def _creates_new(index, pattern, good: set[tuple[int, int]], t: Edge) -> bool:
     return True
 
 
-def _scan_list(ksets: Iterable[Edge]) -> tuple[int, list[Edge]]:
-    """Decide each missing k-set in order: count it, and report it when it
-    creates no new Berge copy."""
+def _scan_list(ksets: Iterable[Edge]) -> list[Edge]:
+    """The missing k-sets, in order, that create no new Berge copy."""
     index, pattern, good = _WORK["index"], _WORK["pattern"], _WORK["good"]
-    checked = 0
-    violations: list[Edge] = []
-    for t in ksets:
-        checked += 1
-        if not _creates_new(index, pattern, good, t):
-            violations.append(t)
-    return checked, violations
+    return [t for t in ksets if not _creates_new(index, pattern, good, t)]
 
 
-def _scan_first(u: int) -> tuple[int, list[Edge]]:
+def _scan_first(u: int) -> list[Edge]:
     """The missing k-sets whose least vertex is ``u``, in lexicographic order."""
     present, n, k = _WORK["present"], _WORK["n"], _WORK["k"]
     ksets = ((u,) + rest for rest in itertools.combinations(range(u + 1, n), k - 1))
     return _scan_list(t for t in ksets if t not in present)
 
 
-def _run_tasks(h, f, k, worker, tasks, jobs) -> tuple[int, list[Edge]]:
-    """Run ``worker`` over ``tasks`` and merge the results in task order."""
+def _run_tasks(h, f, k, worker, tasks, jobs) -> list[Edge]:
+    """Run ``worker`` over ``tasks`` and merge the violations in task order."""
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         _init_worker(h, f, k)
         results = [worker(t) for t in tasks]
     else:
-        ctx = multiprocessing.get_context("fork")
+        ctx = multiprocessing.get_context(None)  # the platform's default method
         with ctx.Pool(workers, initializer=_init_worker, initargs=(h, f, k)) as pool:
             results = pool.map(worker, tasks)
-    violations = [t for _, v in results for t in v]
-    return sum(c for c, _ in results), violations
+    return [t for v in results for t in v]
 
 
 # ---------------------------------------------------------------------------
@@ -211,50 +205,22 @@ def _orbit_representatives(h: Hypergraph, k: int) -> list[Edge]:
     for eid, e in enumerate(h.edges):
         for v in e:
             incident[v].append(eid)
-    class_ids: dict[tuple[int, ...], int] = {}
-    members: list[list[int]] = []
-    class_of = [0] * h.n
+    classes: dict[tuple[int, ...], list[int]] = {}  # in order of first vertex
     for v in range(h.n):
-        key = tuple(incident[v])
-        cid = class_ids.get(key)
-        if cid is None:
-            cid = len(members)
-            class_ids[key] = cid
-            members.append([])
-        class_of[v] = cid
-        members[cid].append(v)
+        classes.setdefault(tuple(incident[v]), []).append(v)
+    members = list(classes.values())
 
     present = h.edge_set()
-    edges_per_class = Counter(
-        tuple(sorted(class_of[v] for v in e)) for e in h.edges if len(e) == k
-    )
-
     reps: list[Edge] = []
     for multiset in itertools.combinations_with_replacement(range(len(members)), k):
-        uniq: list[tuple[int, int]] = []
-        for cid, group in itertools.groupby(multiset):
-            uniq.append((cid, len(list(group))))
-        total = 1
-        for cid, mult in uniq:
-            total *= comb(len(members[cid]), mult)
-        if total == 0:
-            continue
-        if total - edges_per_class.get(multiset, 0) <= 0:
-            continue
-        first = tuple(sorted(
-            v for cid, mult in uniq for v in members[cid][:mult]
-        ))
+        uniq = [(cid, len(list(group))) for cid, group in itertools.groupby(multiset)]
+        if any(mult > len(members[cid]) for cid, mult in uniq):
+            continue  # no k-set has these classes
+        # the least member; when it is an edge, every class it meets lies
+        # inside that edge, so it is the only member and none is missing
+        first = tuple(sorted(v for cid, mult in uniq for v in members[cid][:mult]))
         if first not in present:
             reps.append(first)
-            continue
-        # rare: the least member is an existing edge; walk the class lazily
-        for picks in itertools.product(
-            *(itertools.combinations(members[cid], mult) for cid, mult in uniq)
-        ):
-            t = tuple(sorted(itertools.chain.from_iterable(picks)))
-            if t not in present:
-                reps.append(t)
-                break
     return reps
 
 
@@ -263,22 +229,24 @@ def _orbit_representatives(h: Hypergraph, k: int) -> list[Edge]:
 
 
 def _sample_missing(h: Hypergraph, k: int, count: int, seed: int) -> list[Edge]:
+    """A seeded uniform sample of missing k-sets, in lexicographic order.
+
+    The picks are positions among the missing k-sets.  Both the picks and
+    the ranks of the existing edges are sorted, so one merge turns each
+    pick into a rank: the missing k-set at position ``i`` has rank ``i + j``
+    once ``j`` existing edges rank at or below it.
+    """
     total = count_missing_edges(h, k)
     existing = sorted(_rank_kset(e, h.n) for e in h.edges if len(e) == k)
     rng = random.Random(seed)
     picks = sorted(rng.sample(range(total), min(count, total)))
-
-    def missing_rank(idx: int) -> int:
-        lo, hi = 0, comb(h.n, k) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if mid + 1 - bisect_right(existing, mid) >= idx + 1:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
-    return [tuple(_unrank_kset(h.n, k, missing_rank(i))) for i in picks]
+    out: list[Edge] = []
+    j = 0
+    for i in picks:
+        while j < len(existing) and existing[j] <= i + j:
+            j += 1
+        out.append(tuple(_unrank_kset(h.n, k, i + j)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +291,12 @@ def is_saturated(
         sample_seed = seed
         ksets = _sample_missing(h, k, sample, seed)
     if mode == "full":
-        checked, violations_sat = _run_tasks(h, f, k, _scan_first, range(h.n), jobs)
+        checked = count_missing_edges(h, k)
+        violations_sat = _run_tasks(h, f, k, _scan_first, range(h.n), jobs)
     else:
+        checked = len(ksets)
         tasks = [ksets[i: i + _LIST_CHUNK] for i in range(0, len(ksets), _LIST_CHUNK)]
-        checked, violations_sat = _run_tasks(h, f, k, _scan_list, tasks, jobs)
+        violations_sat = _run_tasks(h, f, k, _scan_list, tasks, jobs)
 
     return SaturationReport(
         is_free=free,

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines; the heaviest case (criterion 4) takes about 20 seconds.
+lines; the heaviest case (criterion 4) takes 10 to 20 seconds.
 """
 
 import itertools

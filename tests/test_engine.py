@@ -269,6 +269,40 @@ class TestRequiredEdgePrune:
         assert snapshots[0] < 1500
 
 
+class TestIndexGrowth:
+    """An index grown edge by edge with ``add`` is the index of the grown
+    host, and its cached candidate lists follow the new degrees."""
+
+    def test_add_matches_a_fresh_build(self):
+        rng = random.Random(61)
+        hosts = [build_s(21, 3, 4)[0]] + [
+            random_hypergraph(rng, max_vertices=10, max_edges=12) for _ in range(30)
+        ]
+        changed = 0
+        for h in hosts:
+            grown = engine._Index(Hypergraph(h.n, ()))
+            for i, e in enumerate(h.edges):
+                stale = [grown.candidates(need) for need in range(4)]
+                grown.add(e)
+                fresh = engine._Index(Hypergraph(h.n, h.edges[: i + 1]))
+                after = [grown.candidates(need) for need in range(4)]
+                assert after == [fresh.candidates(need) for need in range(4)]
+                changed += after != stale
+            built = engine._Index(h)
+            for name in ("edges", "deg", "pair_edges", "id_of"):
+                assert getattr(grown, name) == getattr(built, name)
+            # and against tables built here, without the index
+            pair_edges = {}
+            for eid, e in enumerate(h.edges):
+                for p in itertools.combinations(e, 2):
+                    pair_edges[p] = pair_edges.get(p, ()) + (eid,)
+            assert grown.edges == list(h.edges)
+            assert grown.deg == h.degrees()
+            assert grown.pair_edges == pair_edges
+            assert grown.id_of == {e: eid for eid, e in enumerate(h.edges)}
+        assert changed > 100
+
+
 class TestDominanceTransfer:
     def test_new_copy_moves_along_dominance(self):
         # with v dominated by u and a new Berge copy avoiding u as core,

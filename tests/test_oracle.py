@@ -144,6 +144,20 @@ class TestGreedyAgainstReference:
         greedy_saturate(empty, K4, 3)
         assert 0 < calls["before_certify"] < candidates // 2
 
+    def test_non_uniform_start_rejected_before_any_probe(self, monkeypatch):
+        calls = [0]
+        real_creates_new = saturation._creates_new
+
+        def counting(*args):
+            calls[0] += 1
+            return real_creates_new(*args)
+
+        monkeypatch.setattr(saturation, "_creates_new", counting)
+        h = Hypergraph(8, ((0, 1, 2), (3, 4)))
+        with pytest.raises(ValueError, match="hypergraph is not 3-uniform"):
+            greedy_saturate(h, K4, 3)
+        assert calls[0] == 0
+
     @pytest.mark.parametrize("bad", [(0, 1, 5), (0, 1, -1), (2, 2, 3), (4,)])
     def test_invalid_candidate_rejected(self, bad):
         order = list(itertools.islice(missing_edges(Hypergraph(5, ()), 3), 2)) + [bad]

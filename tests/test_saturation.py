@@ -1,4 +1,5 @@
 import itertools
+import multiprocessing
 import random
 from collections import Counter
 
@@ -221,6 +222,61 @@ class TestAgainstReference:
         report = is_saturated(build_s(30, 3, 4)[0], K4, 3)
         assert report.saturated
         assert probes["probes"] < report.checked_missing // 4
+
+    def test_full_scan_decides_each_missing_set_once(self, monkeypatch):
+        decided = Counter()
+        real_creates_new = saturation._creates_new
+
+        def counting(index, pattern, good, t):
+            decided[t] += 1
+            return real_creates_new(index, pattern, good, t)
+
+        monkeypatch.setattr(saturation, "_creates_new", counting)
+        for h, f, k in reference_corpus():
+            decided.clear()
+            report = is_saturated(h, f, k, jobs=1)
+            assert list(decided) == list(missing_edges(h, k))
+            assert set(decided.values()) <= {1}
+            assert report.checked_missing == sum(decided.values())
+
+    def test_sampler_matches_indexing_the_missing_sets(self):
+        for seed, (h, _, k) in enumerate(reference_corpus()):
+            missing = list(missing_edges(h, k))
+            total = len(missing)
+            for count in (0, 1, 15, total, total + 3):
+                picks = sorted(random.Random(seed).sample(range(total), min(count, total)))
+                expected = [missing[i] for i in picks]
+                assert saturation._sample_missing(h, k, count, seed) == expected
+
+    def test_orbit_representatives_cover_every_class_once(self):
+        for h, _, k in reference_corpus():
+            incidence = [tuple(i for i, e in enumerate(h.edges) if v in e) for v in range(h.n)]
+
+            def classes(t):
+                return tuple(sorted(incidence[v] for v in t))
+
+            present = h.edge_set()
+            reps = saturation._orbit_representatives(h, k)
+            assert all(t not in present for t in reps)
+            rep_classes = [classes(t) for t in reps]
+            assert len(set(rep_classes)) == len(rep_classes)
+            assert set(rep_classes) == {classes(t) for t in missing_edges(h, k)}
+
+    def test_spawned_workers_give_the_same_report(self, monkeypatch, s21):
+        # spawn starts each worker from a fresh interpreter, the only start
+        # method on some platforms
+        requested = []
+        real_get_context = multiprocessing.get_context
+
+        def spawn_context(method=None):
+            requested.append(method)
+            return real_get_context("spawn")
+
+        expected = is_saturated(s21, K4, 3, jobs=1)
+        monkeypatch.setattr(saturation.multiprocessing, "get_context", spawn_context)
+        monkeypatch.setattr(saturation.os, "cpu_count", lambda: 2)
+        assert is_saturated(s21, K4, 3, jobs=2) == expected
+        assert requested == [None]
 
 
 class TestLemmaReports:
