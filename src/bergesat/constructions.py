@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 from .core import Graph, Hypergraph
-from .invariants import feedback_number, independence_number
+from .invariants import _is_acyclic_after_removal, feedback_number, independence_number
 
 
 @dataclass
@@ -188,8 +188,6 @@ def build_h_feedback(
     are split into blocks of size ``a``, each block getting every k-edge made
     of the block plus k-a core vertices.  Leftover vertices stay isolated.
     """
-    from .invariants import _is_acyclic_after_removal
-
     if s is None:
         f, s = feedback_number(g)
     else:

@@ -67,6 +67,19 @@ class Graph:
         return adj
 
 
+def _as_edge(e, n: int) -> tuple[int, ...]:
+    """``e`` as a sorted tuple; ValueError unless it is a set of at least two
+    distinct vertices of [0, n)."""
+    t = tuple(sorted(e))
+    if len(t) < 2:
+        raise ValueError(f"hyperedge {t} has fewer than 2 vertices")
+    if len(set(t)) != len(t):
+        raise ValueError(f"hyperedge {t} repeats a vertex")
+    if t[0] < 0 or t[-1] >= n:
+        raise ValueError(f"hyperedge {t} out of range for n={n}")
+    return t
+
+
 @dataclass(frozen=True, eq=False)
 class Hypergraph:
     """Vertex set ``0..n-1`` plus an ordered family of distinct vertex sets.
@@ -85,13 +98,7 @@ class Hypergraph:
         seen = set()
         canon = []
         for e in self.edges:
-            t = tuple(sorted(e))
-            if len(t) < 2:
-                raise ValueError(f"hyperedge {t} has fewer than 2 vertices")
-            if len(set(t)) != len(t):
-                raise ValueError(f"hyperedge {t} repeats a vertex")
-            if t[0] < 0 or t[-1] >= self.n:
-                raise ValueError(f"hyperedge {t} out of range for n={self.n}")
+            t = _as_edge(e, self.n)
             if t in seen:
                 raise ValueError(f"duplicate hyperedge {set(t)}")
             seen.add(t)

@@ -31,7 +31,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .core import Graph, Hypergraph
+from .core import Graph, Hypergraph, _as_edge
+from .invariants import make_clique
 
 Edge = tuple[int, ...]
 
@@ -431,24 +432,9 @@ def creates_new_berge(h: Hypergraph, e, f: Graph) -> bool:
     return _search(index, _Pattern(f), required_edge=t) is not None
 
 
-def _as_edge(e, n: int) -> Edge:
-    """``e`` as a sorted tuple; ValueError unless it is a set of at least two
-    distinct vertices of [0, n)."""
-    t = tuple(sorted(e))
-    if len(t) < 2 or len(set(t)) != len(t):
-        raise ValueError(f"not a valid hyperedge: {e}")
-    if t[0] < 0 or t[-1] >= n:
-        raise ValueError(f"edge {set(t)} out of range for n={n}")
-    return t
-
-
 def is_ell_good(h: Hypergraph, u: int, v: int, ell: int) -> bool:
     """True iff adding the pair ``uv`` creates a new Berge clique on ``ell``
     vertices.  Only requires the 2-edge ``uv`` itself to be absent."""
-    from .invariants import make_clique
-
-    if u == v:
-        raise ValueError("pair endpoints must differ")
     return creates_new_berge(h, (u, v), make_clique(ell))
 
 
@@ -468,8 +454,6 @@ class CoreCoverageReport:
 def all_subsets_are_cores(h: Hypergraph, m: int) -> CoreCoverageReport:
     """Check that every m-subset of the vertex set is exactly the core set of
     some Berge clique on m vertices."""
-    from .invariants import make_clique
-
     if m > h.n:
         raise ValueError(f"subset size {m} exceeds vertex count {h.n}")
     index = _Index(h)

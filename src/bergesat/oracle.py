@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import comb
 
 from . import engine, saturation
-from .core import Graph, Hypergraph, add_edge, is_k_uniform, missing_edges
+from .core import Graph, Hypergraph, _as_edge, add_edge, is_k_uniform, missing_edges
 
 MAX_ORACLE_PATTERN_EDGES = 6
 MAX_ORACLE_HOST_EDGES = 8
@@ -78,7 +78,7 @@ def greedy_saturate(h: Hypergraph, f: Graph, k: int, order=None) -> Hypergraph:
     if order is None:
         candidates = missing_edges(h, k)
     else:
-        candidates = (engine._as_edge(e, h.n) for e in order)
+        candidates = (_as_edge(e, h.n) for e in order)
     index = engine._Index(h)
     pattern = engine._Pattern(f)
     good: set[tuple[int, int]] = set()  # stays good as edges are added

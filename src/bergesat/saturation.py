@@ -22,9 +22,10 @@ copy, so a good pair stays good while greedy completion grows the host.
 Missing-edge checks are pure, so they fan out over at most one worker
 process per CPU, started by the platform's default method, and merge
 deterministically: the report is identical for any worker count.  A worker
-returns only the violations of its task, in order.  The count of checked
-sets is known without the scan: C(n, k) - |E| in full mode, and the length
-of the list in sampled and orbit modes.
+returns only the violations of its task, in order.  Its state is kept per
+thread, so concurrent calls in one process do not share it.  The count of
+checked sets is known without the scan: C(n, k) - |E| in full mode, and the
+length of the list in sampled and orbit modes.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import itertools
 import multiprocessing
 import os
 import random
+import threading
 import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -41,6 +43,7 @@ from math import comb
 from . import engine
 from .core import Graph, Hypergraph, count_missing_edges, is_k_uniform
 from .engine import BergeWitness
+from .invariants import make_clique
 
 Edge = tuple[int, ...]
 
@@ -89,8 +92,6 @@ class PairGoodnessReport:
 def all_pairs_good(h: Hypergraph, ell: int) -> PairGoodnessReport:
     """Check every vertex pair not already present as a 2-edge: does adding
     it create a new Berge clique on ``ell`` vertices?"""
-    from .invariants import make_clique
-
     failures = _run_tasks(h, make_clique(ell), 2, _scan_first, range(h.n), 1)
     checked = count_missing_edges(h, 2)
     return PairGoodnessReport(checked=checked, good=checked - len(failures),
@@ -134,18 +135,16 @@ def _unrank_kset(n: int, k: int, rank: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# worker machinery (module level so fork-based pools can reach it)
+# worker machinery (module level so pool workers can reach it)
 
-_WORK: dict = {}
+_work = threading.local()  # one scan's state per thread, so concurrent calls stay apart
 
 
 def _init_worker(h: Hypergraph, f: Graph, k: int) -> None:
-    _WORK["index"] = engine._Index(h)
-    _WORK["pattern"] = engine._Pattern(f)
-    _WORK["present"] = h.edge_set()
-    _WORK["n"] = h.n
-    _WORK["k"] = k
-    _WORK["good"] = set()  # pairs a witness proved good
+    _work.index = engine._Index(h)
+    _work.pattern = engine._Pattern(f)
+    _work.k = k
+    _work.good = set()  # pairs a witness proved good
 
 
 def _creates_new(index, pattern, good: set[tuple[int, int]], t: Edge) -> bool:
@@ -166,13 +165,13 @@ def _creates_new(index, pattern, good: set[tuple[int, int]], t: Edge) -> bool:
 
 def _scan_list(ksets: Iterable[Edge]) -> list[Edge]:
     """The missing k-sets, in order, that create no new Berge copy."""
-    index, pattern, good = _WORK["index"], _WORK["pattern"], _WORK["good"]
+    index, pattern, good = _work.index, _work.pattern, _work.good
     return [t for t in ksets if not _creates_new(index, pattern, good, t)]
 
 
 def _scan_first(u: int) -> list[Edge]:
     """The missing k-sets whose least vertex is ``u``, in lexicographic order."""
-    present, n, k = _WORK["present"], _WORK["n"], _WORK["k"]
+    present, n, k = _work.index.id_of, _work.index.n, _work.k
     ksets = ((u,) + rest for rest in itertools.combinations(range(u + 1, n), k - 1))
     return _scan_list(t for t in ksets if t not in present)
 

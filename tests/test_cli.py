@@ -1,4 +1,7 @@
+import argparse
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +9,8 @@ from bergesat import cli, saturation
 from bergesat.cli import main
 from bergesat.core import parse_hypergraph
 
+# every --help text, recorded at COLUMNS=80 under the Python minor version named
+GOLDEN_HELP = json.loads((Path(__file__).parent / "golden_help.json").read_text())
 TIGHT_CYCLE_FILE = "n 5\n0 1 2\n0 1 4\n0 3 4\n1 2 3\n2 3 4\n"
 
 
@@ -290,17 +295,43 @@ class TestContract:
         assert code == 2 and out == "" and err.startswith("error: ")
 
     def test_internal_runtime_error_not_hidden(self, capsys, monkeypatch):
-        def broken(args):
+        def broken(path):
             raise RuntimeError("internal fault")
 
-        monkeypatch.setattr(cli, "_cmd_invariants", broken)
+        monkeypatch.setattr(cli, "_read_graph", broken)
         with pytest.raises(RuntimeError, match="internal fault"):
             cli.main(["invariants", "--graph", "unread.g"])
 
     def test_interrupt_exit_two(self, capsys, monkeypatch):
-        def interrupted(args):
+        def interrupted(path):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(cli, "_cmd_invariants", interrupted)
+        monkeypatch.setattr(cli, "_read_graph", interrupted)
         code, out, err = run(capsys, "invariants", "--graph", "unread.g")
         assert code == 2 and out == "" and err == "error: interrupted\n"
+
+
+def _command_paths(parser, prefix=()):
+    yield " ".join(prefix)
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _command_paths(child, prefix + (name,))
+
+
+class TestHelp:
+    def test_every_command_has_a_golden_text(self):
+        assert sorted(_command_paths(cli._build_parser())) == sorted(GOLDEN_HELP["help"])
+
+    @pytest.mark.skipif(
+        "%d.%d" % sys.version_info[:2] != GOLDEN_HELP["python"],
+        reason="argparse formats help differently across Python minor versions",
+    )
+    @pytest.mark.parametrize("command", sorted(GOLDEN_HELP["help"]))
+    def test_help_text_unchanged(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", str(GOLDEN_HELP["columns"]))
+        code, out, _ = run(capsys, *command.split(), "--help")
+        assert code == 0 and out == GOLDEN_HELP["help"][command]
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()

@@ -139,6 +139,15 @@ class TestEllGood:
         with pytest.raises(ValueError):
             is_ell_good(h, 0, 1, 3)
 
+    def test_repeated_vertex_rejected(self, tight_cycle):
+        with pytest.raises(ValueError, match="repeats a vertex"):
+            is_ell_good(tight_cycle, 2, 2, 4)
+
+    @pytest.mark.parametrize("u, v", [(0, 5), (-1, 2)])
+    def test_out_of_range_pair_rejected(self, tight_cycle, u, v):
+        with pytest.raises(ValueError, match="out of range for n=5"):
+            is_ell_good(tight_cycle, u, v, 4)
+
 
 class TestCoreCoverage:
     def test_tight_cycle_triples(self, tight_cycle):

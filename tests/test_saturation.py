@@ -1,7 +1,9 @@
 import itertools
 import multiprocessing
 import random
+import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -112,6 +114,24 @@ class TestIsSaturated:
         monkeypatch.setattr(saturation.os, "cpu_count", lambda: None)
         assert is_saturated(s21, K4, 3, jobs=100_000) == expected
         assert sizes == [4, 3, 3]
+
+    def test_concurrent_calls_do_not_share_scan_state(self):
+        # three threads verify different hosts at once, switching often; one
+        # host has 246 violations, which a shared scan state would lose
+        s30 = build_s(30, 3, 4)[0]
+        calls = [(s30, K4, 3), (Hypergraph(s30.n, s30.edges[:-3]), K4, 3),
+                 (build_s(24, 4, 5)[0], make_clique(5), 4)]
+        serial = [is_saturated(*c) for c in calls]
+        assert len(serial[1].violations_sat) == 246
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(3):
+                with ThreadPoolExecutor(len(calls)) as pool:
+                    got = pool.map(lambda c: is_saturated(*c), calls, timeout=120)
+                    assert list(got) == serial
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_sampled_mode_is_reproducible(self, s21):
         a = is_saturated(s21, K4, 3, sample=40, seed=11)
