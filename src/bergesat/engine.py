@@ -21,14 +21,24 @@ already placed inside it qualifies, an edge with one endpoint placed inside
 needs one unused vertex of it, and an unplaced edge needs two.  For a
 complete pattern this is "fewer than two positions can still land inside".
 The prune removes only placements whose matching could never be rerouted
-onto the required edge, so the first witness found is unchanged.  The
-matcher is snapshotted only before a candidate's first push; a candidate
+onto the required edge, so the first witness found is unchanged.
+
+A search with a required core looks ahead in the same way: each required
+vertex not yet placed needs an open position whose degree prefix of the host
+order holds it and whose placed pattern neighbours all share a hyperedge
+with it (the virtual edge of a probe included).  A partial placement that
+leaves some required vertex no such position is abandoned; it holds no
+witness, so the order of the search and its first witness are unchanged.
+Without a required core the look-ahead costs one integer test per node.
+
+The matcher is snapshotted only before a candidate's first push; a candidate
 rejected by an empty supply before that has changed nothing to restore.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .core import Graph, Hypergraph, _as_edge
@@ -124,7 +134,7 @@ class _Matcher:
     def __init__(self) -> None:
         self.owner: dict[int, int] = {}  # hyperedge id -> demand index
         self.assigned: list[int] = []  # demand index -> hyperedge id
-        self.supplies: list[tuple[int, ...]] = []
+        self.supplies: list[Sequence[int]] = []
 
     def snapshot(self) -> tuple[dict[int, int], list[int], int]:
         return dict(self.owner), list(self.assigned), len(self.supplies)
@@ -133,7 +143,7 @@ class _Matcher:
         self.owner, self.assigned, depth = snap
         del self.supplies[depth:]
 
-    def push(self, supply: tuple[int, ...]) -> bool:
+    def push(self, supply: Sequence[int]) -> bool:
         self.supplies.append(supply)
         self.assigned.append(-1)
         return self._augment(len(self.supplies) - 1, set())
@@ -176,7 +186,7 @@ class _Index:
         self.n = h.n
         self.edges: list[Edge] = []
         self.deg = [0] * h.n
-        self.pair_edges: dict[tuple[int, int], tuple[int, ...]] = {}
+        self.pair_edges: dict[tuple[int, int], list[int]] = {}
         self.id_of: dict[Edge, int] = {}
         self._cands: dict[int, list[int]] = {}
         for e in h.edges:
@@ -192,7 +202,7 @@ class _Index:
             deg[v] += 1
         pair_edges = self.pair_edges
         for p in itertools.combinations(e, 2):
-            pair_edges[p] = pair_edges.get(p, ()) + (eid,)
+            pair_edges.setdefault(p, []).append(eid)
         self._cands.clear()
 
     def candidates(self, need: int) -> list[int]:
@@ -313,6 +323,26 @@ def _search(
     matcher = _Matcher()
     image = [-1] * nf
     used: set[int] = set()
+    at = {w: p for p, w in enumerate(host)} if required_core else {}
+
+    def open_position(r: int, i: int) -> bool:
+        """Some position j >= i can still take the unplaced vertex r: its
+        degree prefix holds r, and r shares a hyperedge with the image of
+        every placed pattern neighbour of j (back[j] is ascending)."""
+        p = at[r]
+        for j in range(i, nf):
+            if p >= limit[j]:
+                continue
+            for q in back[j]:
+                if q >= i:
+                    return True
+                a = image[q]
+                if not (pair_edges_get((a, r) if a < r else (r, a))
+                        or (a in vset and r in vset)):
+                    break
+            else:
+                return True
+        return False
 
     # reach is nf once a placed pattern edge lies inside the required edge,
     # else the latest position joined to a placed position inside it
@@ -321,8 +351,11 @@ def _search(
             if req_left or (req_eid >= 0 and not matcher.force_use(req_eid)):
                 return None
             return _witness(index, pattern, image, matcher.assigned, required_edge)
-        if req_left > nf - i:
-            return None
+        if req_left:
+            if req_left > nf - i:
+                return None
+            if i and not all(r in used or open_position(r, i) for r in required_core):
+                return None
         if prune:
             if reach < nf:
                 free = rsize - in_req_edge
@@ -341,7 +374,7 @@ def _search(
                 a = image[j]
                 supply = pair_edges_get((a, w) if a < w else (w, a), ())
                 if a in vset and w in vset:
-                    supply += (vid,)
+                    supply = (*supply, vid)  # never extend the index's list
                 if not supply:
                     break
                 if snap is None:
@@ -401,12 +434,18 @@ def find_berge_witness(
 ) -> BergeWitness | None:
     """Search for a Berge copy of ``f`` in ``h`` subject to ``constraints``.
 
-    The search is complete: None means no witness exists.  Unsatisfiable
-    constraints simply yield None.
+    The search is complete: None means no witness exists.  Constraints that
+    are well formed but unsatisfiable simply yield None; a core vertex outside
+    [0, n) or a required edge that is not a set of vertices of ``h`` raises
+    ValueError.
     """
     c = constraints or SearchConstraints()
+    for v in sorted(c.required_core | c.forbidden_core):
+        if not 0 <= v < h.n:
+            raise ValueError(f"core vertex {v} out of range for n={h.n}")
+    required_edge = None if c.required_edge is None else _as_edge(c.required_edge, h.n)
     index = _Index(h)
-    if c.required_edge is not None and c.required_edge not in index.id_of:
+    if required_edge is not None and required_edge not in index.id_of:
         return None
     pattern = _Pattern(f)
     return _search(
@@ -414,7 +453,7 @@ def find_berge_witness(
         pattern,
         required_core=c.required_core,
         forbidden_core=c.forbidden_core,
-        required_edge=c.required_edge,
+        required_edge=required_edge,
     )
 
 

@@ -52,6 +52,13 @@ def k4_path(tmp_path):
     return path
 
 
+@pytest.fixture
+def c5_path(tmp_path):
+    path = tmp_path / "c5.g"
+    path.write_text("0 1\n1 2\n2 3\n3 4\n0 4\n")
+    return path
+
+
 class TestGen:
     def test_tight_cycle_bytes(self, tight_cycle_path):
         assert tight_cycle_path.read_text() == TIGHT_CYCLE_FILE
@@ -119,6 +126,30 @@ class TestCheck:
             "--graph", str(k4_path), "--hgraph", str(tight_cycle_path),
         )
         assert code == 1 and not payload["contains"]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--require-core", "99"), ("--require-core", "-1"), ("--require-edge", "5,5,6"),
+    ])
+    def test_contains_malformed_constraint_exit_two(self, capsys, s21_path, c5_path,
+                                                    flag, value):
+        code, out, err = run(
+            capsys, "check", "contains",
+            "--graph", str(c5_path), "--hgraph", str(s21_path), flag, value,
+        )
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--require-edge", "0,1,3"),  # a 3-set but not an edge
+        ("--require-core", "0,1,2,3,4,5"),  # more vertices than C5 has
+        ("--require-core", "5,6"),  # no C5 covers both
+    ])
+    def test_contains_unsatisfiable_constraint_exit_one(self, capsys, s21_path, c5_path,
+                                                        flag, value):
+        code, payload, _ = run_json(
+            capsys, "check", "contains",
+            "--graph", str(c5_path), "--hgraph", str(s21_path), flag, value,
+        )
+        assert code == 1 and payload == {"contains": False, "witness": None}
 
     def test_free(self, capsys, tight_cycle_path, k4_path):
         code, payload, _ = run_json(

@@ -79,6 +79,21 @@ class TestFindWitness:
         assert find_berge_witness(
             make_clique(5), tight_cycle, SearchConstraints(required_core={0, 1, 2, 3, 4})
         ) is None  # would need 10 edges
+        assert find_berge_witness(
+            K3, tight_cycle, SearchConstraints(required_core={0, 1, 2, 3})
+        ) is None  # more required vertices than the pattern has
+
+    @pytest.mark.parametrize("c", [
+        SearchConstraints(required_core={5}),
+        SearchConstraints(required_core={-1}),
+        SearchConstraints(forbidden_core={99}),
+        SearchConstraints(required_edge=(1, 1, 2)),
+        SearchConstraints(required_edge=(3,)),
+        SearchConstraints(required_edge=(3, 5)),
+    ])
+    def test_malformed_constraints_rejected(self, tight_cycle, c):
+        with pytest.raises(ValueError):
+            find_berge_witness(K3, tight_cycle, c)
 
     def test_overlapping_constraints_rejected(self):
         with pytest.raises(ValueError):
@@ -215,6 +230,19 @@ PRUNED_SHAPES = [make_path(4), make_cycle(4), make_cycle(5), make_star(3),
                  k4_minus_edge(), K23]
 
 
+def _count(monkeypatch, name):
+    """Count calls to the matcher method ``name`` from here on."""
+    calls = [0]
+    real = getattr(engine._Matcher, name)
+
+    def counting(self, *args):
+        calls[0] += 1
+        return real(self, *args)
+
+    monkeypatch.setattr(engine._Matcher, name, counting)
+    return calls
+
+
 class TestRequiredEdgePrune:
     """The required-edge prune and the lazy matcher snapshot only skip
     branches that cannot change the answer, and they do skip them."""
@@ -237,25 +265,13 @@ class TestRequiredEdgePrune:
                 verdicts[probe] += 1
         assert verdicts[True] > 20 and verdicts[False] > 20
 
-    @staticmethod
-    def _count(monkeypatch, name):
-        calls = [0]
-        real = getattr(engine._Matcher, name)
-
-        def counting(self, *args):
-            calls[0] += 1
-            return real(self, *args)
-
-        monkeypatch.setattr(engine._Matcher, name, counting)
-        return calls
-
     def test_prune_cuts_path_probes(self, monkeypatch):
         # these 20 probes make 126 pushes, and 3,365 without the prune
         h = build_s(40, 3, 4)[0]
         index = engine._Index(h)
         pattern = engine._Pattern(make_path(4))
         probes = list(itertools.islice(missing_edges(h, 3), 0, 4000, 200))
-        pushes = self._count(monkeypatch, "push")
+        pushes = _count(monkeypatch, "push")
         found = [engine._search(index, pattern, required_edge=t) for t in probes]
         assert all(found)
         assert pushes[0] < 1000
@@ -263,7 +279,7 @@ class TestRequiredEdgePrune:
     def test_snapshot_taken_only_before_a_push(self, monkeypatch):
         # clique probes and plain searches, which the prune does not touch:
         # 1,014 snapshots, and 1,957 with one snapshot per candidate
-        snapshots = self._count(monkeypatch, "snapshot")
+        snapshots = _count(monkeypatch, "snapshot")
         rng = random.Random(5)
         found = 0
         for _ in range(40):
@@ -276,6 +292,86 @@ class TestRequiredEdgePrune:
                     found += engine._search(index, pattern, required_edge=t) is not None
         assert found == 106
         assert snapshots[0] < 1500
+
+
+def _distinct_choice(choices, used=frozenset()):
+    """Whether one member of each list in ``choices`` can be picked, no
+    member twice."""
+    if not choices:
+        return True
+    return any(_distinct_choice(choices[1:], used | {e}) for e in choices[0] if e not in used)
+
+
+def _brute_force_contains(f, h, required, forbidden):
+    """Some injection of V(f) covering ``required`` and avoiding ``forbidden``
+    gives the pattern edges distinct containing hyperedges."""
+    allowed = [v for v in range(h.n) if v not in forbidden]
+    for image in itertools.permutations(allowed, f.n):
+        if not required <= set(image):
+            continue
+        choices = [[e for e in h.edges if image[x] in e and image[y] in e] for x, y in f.edges]
+        if _distinct_choice(choices):
+            return True
+    return False
+
+
+class TestRequiredCorePrune:
+    """The required-core look-ahead skips only placements that can no longer
+    cover a required vertex, and it does skip them."""
+
+    def test_constrained_search_matches_brute_force(self):
+        rng = random.Random(911)
+        verdicts = {True: 0, False: 0}
+        for _ in range(150):
+            h = random_hypergraph(rng, max_vertices=6, max_edges=8, max_edge_size=4)
+            f = rng.choice(small_patterns() + [make_cycle(5), K23])
+            required = frozenset(rng.sample(range(h.n), rng.randint(1, 3)))
+            rest = [v for v in range(h.n) if v not in required]
+            for forbidden in (frozenset(), frozenset(rng.sample(rest, min(len(rest), 1)))):
+                c = SearchConstraints(required_core=required, forbidden_core=forbidden)
+                w = find_berge_witness(f, h, c)
+                assert (w is not None) == _brute_force_contains(f, h, required, forbidden), (
+                    h, f.edges, c)
+                if w is not None:
+                    validate_witness(f, h, w)
+                    image = set(w.core_map.values())
+                    assert required <= image and not forbidden & image
+                verdicts[w is not None] += 1
+        assert verdicts[True] > 40 and verdicts[False] > 40
+
+    def test_virtual_probe_with_required_core_matches_materialized_host(self):
+        # a required vertex may reach a placed neighbour only through the
+        # virtual edge
+        rng = random.Random(419)
+        verdicts = {True: 0, False: 0}
+        for _ in range(150):
+            h = random_hypergraph(rng, max_vertices=7, max_edges=8, max_edge_size=3)
+            f = rng.choice(small_patterns() + [make_cycle(5)])
+            t = tuple(sorted(rng.sample(range(h.n), rng.randint(2, min(4, h.n)))))
+            if t in h.edge_set():
+                continue
+            required = frozenset(rng.sample(t, 1) + rng.sample(range(h.n), rng.randint(0, 1)))
+            probe = engine._search(
+                engine._Index(h), engine._Pattern(f), required_core=required, required_edge=t
+            )
+            direct = find_berge_witness(
+                f, add_edge(h, t), SearchConstraints(required_core=required, required_edge=t)
+            )
+            assert (probe is None) == (direct is None), (h, t, f.edges, required)
+            verdicts[probe is not None] += 1
+        assert verdicts[True] > 20 and verdicts[False] > 20
+
+    def test_look_ahead_cuts_required_pair_queries(self, monkeypatch):
+        # these 42 queries make 21,449 pushes, and 53,236 without the look-ahead
+        h = build_s(20, 3, 4)[0]
+        pushes = _count(monkeypatch, "push")
+        found = 0
+        for f in (make_cycle(5), K23):
+            for pair in itertools.combinations(range(0, 20, 3), 2):
+                c = SearchConstraints(required_core=frozenset(pair))
+                found += find_berge_witness(f, h, c) is not None
+        assert found == 36
+        assert pushes[0] < 30000
 
 
 class TestIndexGrowth:
@@ -304,12 +400,26 @@ class TestIndexGrowth:
             pair_edges = {}
             for eid, e in enumerate(h.edges):
                 for p in itertools.combinations(e, 2):
-                    pair_edges[p] = pair_edges.get(p, ()) + (eid,)
+                    pair_edges.setdefault(p, []).append(eid)
             assert grown.edges == list(h.edges)
             assert grown.deg == h.degrees()
             assert grown.pair_edges == pair_edges
             assert grown.id_of == {e: eid for eid, e in enumerate(h.edges)}
         assert changed > 100
+
+    def test_virtual_probe_leaves_the_index_unchanged(self):
+        # a probe's supply through the virtual edge is a new sequence, never
+        # an extension of the index's own id list
+        h = build_s(21, 3, 4)[0]
+        index = engine._Index(h)
+        before = {p: list(ids) for p, ids in index.pair_edges.items()}
+        found = 0
+        for f in (K3, K4, make_cycle(4)):
+            pattern = engine._Pattern(f)
+            for t in itertools.islice(missing_edges(h, 3), 0, 1300, 13):
+                found += engine._search(index, pattern, required_edge=t) is not None
+        assert found > 50
+        assert index.pair_edges == before and len(index.edges) == len(h.edges)
 
 
 class TestDominanceTransfer:
@@ -388,7 +498,6 @@ class TestDeterminism:
         validate_witness(make_path(4), tight_cycle, w)
 
 
-K23 = Graph(5, tuple((a, b) for a in (0, 1) for b in (2, 3, 4)))
 CORPUS_PATTERNS = small_patterns() + [
     K4, make_clique(5), make_cycle(5), K23, Graph(3, ((0, 1),)),
 ]
