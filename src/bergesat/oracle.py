@@ -5,9 +5,8 @@ the pattern vertices and, per injection, every assignment of distinct
 hyperedges to pattern edges -- no matching machinery, so it is an
 independent ground truth for the fast engine.  ``saturation_violations``
 probes every missing k-set on its own, the reference for the verifier's
-shortcut through pairs already proved good.  ``min_saturation_search``
-enumerates all edge subsets of bounded size and is the ground truth for
-saturation numbers on tiny instances.
+pair memo.  ``min_saturation_search`` enumerates all edge subsets of bounded
+size and is the ground truth for saturation numbers on tiny instances.
 """
 
 from __future__ import annotations
@@ -69,7 +68,9 @@ def greedy_saturate(h: Hypergraph, f: Graph, k: int, order=None) -> Hypergraph:
 
     Candidates are decided like the verifier's missing k-sets, skipping the
     probe through a pair already proved good, against one index that grows
-    by each accepted edge.  Only a caller-supplied order needs validating."""
+    by each accepted edge.  No pair stays marked bad past the failed probe
+    that marked it, so each candidate without a pair proved good is probed.
+    Only a caller-supplied order needs validating."""
     free, _ = saturation.is_berge_free(h, f)
     if not free:
         raise ValueError("hypergraph already contains the pattern")
@@ -81,10 +82,15 @@ def greedy_saturate(h: Hypergraph, f: Graph, k: int, order=None) -> Hypergraph:
         candidates = (_as_edge(e, h.n) for e in order)
     index = engine._Index(h)
     pattern = engine._Pattern(f)
+    # the host grows, so twins may part: each vertex is its own class
+    cls = list(range(h.n))
     good: set[tuple[int, int]] = set()  # stays good as edges are added
+    bad: set[tuple[int, int]] = set()
     for t in candidates:
-        if t not in index.id_of and not saturation._creates_new(index, pattern, good, t):
+        if t not in index.id_of and not saturation._creates_new(index, pattern, cls, good, bad, t):
             index.add(t)
+            # only this failure marked pairs bad, and adding t may make them good
+            bad.clear()
     current = Hypergraph(h.n, tuple(index.edges))
     report = saturation.is_saturated(current, f, k)
     if not report.saturated:

@@ -3,29 +3,39 @@
 The verifier treats the hypergraph as opaque.  Full mode decides every
 missing k-set and is the only mode that certifies saturation.  Sampled mode
 probes a seeded uniform sample of missing k-sets.  Orbit mode groups missing
-k-sets by the equal-neighbourhood classes of their vertices (two vertices are
-equivalent when each dominates the other, i.e. they lie in exactly the same
-edges, so swapping them is an automorphism) and checks one representative
-per class -- a large speedup on block-structured inputs, but deliberately
-not a certificate.
+k-sets by the twin classes of their vertices and checks one representative
+per class -- a sanity pass that is not a certificate.
 
 Every mode, and greedy completion (``oracle.greedy_saturate``), decides a
 missing set with one helper, ``_creates_new``.  A missing set t creates a
 new Berge copy iff some pair {a, b} inside t does as a bare 2-edge: the
 pattern edge assigned to t has its core images in t, and swapping t for any
 set through a and b that is not an edge keeps the copy valid.  So a probe's
-witness proves the core images of t's pattern edge a good pair, and every
-later missing set through a good pair needs no probe.  Any other set is
-probed, so the answers are exact.  Adding edges to the host keeps every
-copy, so a good pair stays good while greedy completion grows the host.
+witness proves the core images of t's pattern edge a good pair, and a probe
+that fails proves every pair inside t bad.  A missing set with a pair known
+good, or with every pair known bad, needs no probe; any other set is probed,
+so the answers are exact.
+
+Pairs are known by twin class.  Two vertices are twins when they lie in
+exactly the same edges, so swapping them maps every edge to itself: an
+automorphism of the host, which carries each Berge copy of h + {a, b} to one
+of h + {a', b'}.  Hence {a, b} is good iff the pair of the least members of
+their classes is, or, for twins a and b, iff the two least members of
+their class are: one memo entry per pair of classes decides all of its
+pairs.  Full mode extends a lexicographic prefix only while none of its
+pairs is known good, so it never walks the k-sets through a good pair.
+Greedy completion grows its host, which can part twins, so it keys pairs by
+vertex; adding edges keeps every copy, so a good pair stays good, while a
+bad mark is dropped as soon as its k-set is added.
 
 Missing-edge checks are pure, so they fan out over at most one worker
 process per CPU, started by the platform's default method, and merge
-deterministically: the report is identical for any worker count.  A worker
-returns only the violations of its task, in order.  Its state is kept per
-thread, so concurrent calls in one process do not share it.  The count of
-checked sets is known without the scan: C(n, k) - |E| in full mode, and the
-length of the list in sampled and orbit modes.
+deterministically: the report is identical for any worker count.  Each
+worker keeps its own memo and returns only the violations of its task, in
+order.  Its state is kept per thread, so concurrent calls in one process do
+not share it.  The count of checked sets is known without the scan:
+C(n, k) - |E| in full mode, and the length of the list in sampled and orbit
+modes.
 """
 
 from __future__ import annotations
@@ -144,36 +154,77 @@ def _init_worker(h: Hypergraph, f: Graph, k: int) -> None:
     _work.index = engine._Index(h)
     _work.pattern = engine._Pattern(f)
     _work.k = k
-    _work.good = set()  # pairs a witness proved good
+    _work.cls = _twin_classes(h)
+    _work.good = set()  # class keys of pairs known good
+    _work.bad = set()  # class keys of pairs known bad
 
 
-def _creates_new(index, pattern, good: set[tuple[int, int]], t: Edge) -> bool:
+def _creates_new(index, pattern, cls: list[int], good: set, bad: set, t: Edge) -> bool:
     """Does adding the missing set ``t`` to the indexed host create a new
-    Berge copy?  Answered without a probe when a pair inside ``t`` is in
-    ``good``; otherwise probed, and a witness adds to ``good`` the core
-    images of the pattern edge it assigns to ``t``."""
-    if not good.isdisjoint(itertools.combinations(t, 2)):
+    Berge copy?
+
+    The class key of a pair {a, b} is the sorted pair of the classes
+    ``cls[a]`` and ``cls[b]``; ``good`` and ``bad`` hold the keys of pairs
+    known good and known bad.  ``t`` is answered without a probe when one of
+    its pairs is known good, or when all of them are known bad.  Otherwise
+    it is probed once: a witness marks good the key of the core images of
+    the pattern edge it assigns to ``t``, and a failure marks bad the key of
+    every pair of ``t``.
+    """
+    classes = sorted(map(cls.__getitem__, t))
+    if not good.isdisjoint(itertools.combinations(classes, 2)):
         return True
+    keys = list(itertools.combinations(classes, 2))
+    if bad.issuperset(keys):
+        return False
     w = engine._search(index, pattern, required_edge=t)
     if w is None:
+        bad.update(keys)
         return False
     x, y = next(fe for fe, e in w.edge_map.items() if e == t)
-    a, b = w.core_map[x], w.core_map[y]
-    good.add((a, b) if a < b else (b, a))
+    ca, cb = cls[w.core_map[x]], cls[w.core_map[y]]
+    good.add((ca, cb) if ca <= cb else (cb, ca))
     return True
 
 
 def _scan_list(ksets: Iterable[Edge]) -> list[Edge]:
     """The missing k-sets, in order, that create no new Berge copy."""
-    index, pattern, good = _work.index, _work.pattern, _work.good
-    return [t for t in ksets if not _creates_new(index, pattern, good, t)]
+    index, pattern, cls, good, bad = _work.index, _work.pattern, _work.cls, _work.good, _work.bad
+    return [t for t in ksets if not _creates_new(index, pattern, cls, good, bad, t)]
 
 
 def _scan_first(u: int) -> list[Edge]:
-    """The missing k-sets whose least vertex is ``u``, in lexicographic order."""
-    present, n, k = _work.index.id_of, _work.index.n, _work.k
-    ksets = ((u,) + rest for rest in itertools.combinations(range(u + 1, n), k - 1))
-    return _scan_list(t for t in ksets if t not in present)
+    """The missing k-sets whose least vertex is ``u`` and that create no new
+    Berge copy, in lexicographic order.
+
+    A prefix is extended only while none of its pairs is known good: every
+    k-set through a good pair creates a new copy.
+    """
+    index, pattern, k = _work.index, _work.pattern, _work.k
+    cls, good, bad = _work.cls, _work.good, _work.bad
+    present, n = index.id_of, index.n
+    out: list[Edge] = []
+
+    def known_good(ca: int, cb: int) -> bool:
+        return ((ca, cb) if ca <= cb else (cb, ca)) in good
+
+    def grow(t: Edge) -> None:
+        if len(t) == k:
+            if t not in present and not _creates_new(index, pattern, cls, good, bad, t):
+                out.append(t)
+            return
+        classes = [cls[v] for v in t]
+        for v in range(t[-1] + 1, n - k + len(t) + 1):
+            cv = cls[v]
+            if any(known_good(c, cv) for c in classes):
+                continue
+            grow(t + (v,))
+            # a witness below may have proved a pair of t itself good
+            if any(known_good(ca, cb) for ca, cb in itertools.combinations(classes, 2)):
+                return
+
+    grow((u,))
+    return out
 
 
 def _run_tasks(h, f, k, worker, tasks, jobs) -> list[Edge]:
@@ -190,24 +241,33 @@ def _run_tasks(h, f, k, worker, tasks, jobs) -> list[Edge]:
 
 
 # ---------------------------------------------------------------------------
-# orbit grouping
+# twin classes
 
 
-def _orbit_representatives(h: Hypergraph, k: int) -> list[Edge]:
-    """One missing k-set per equal-neighbourhood class multiset.
+def _twin_classes(h: Hypergraph) -> list[int]:
+    """The twin class of each vertex, numbered in order of least vertex.
 
-    Two missing k-sets whose vertices pair up across identical incidence
-    classes are related by an automorphism, so one check decides the whole
-    class.
+    Twins lie in exactly the same edges (each dominates the other), so
+    swapping two of them maps every edge to itself: an automorphism of h.
     """
     incident: list[list[int]] = [[] for _ in range(h.n)]
     for eid, e in enumerate(h.edges):
         for v in e:
             incident[v].append(eid)
-    classes: dict[tuple[int, ...], list[int]] = {}  # in order of first vertex
-    for v in range(h.n):
-        classes.setdefault(tuple(incident[v]), []).append(v)
-    members = list(classes.values())
+    ids: dict[tuple[int, ...], int] = {}
+    return [ids.setdefault(tuple(inc), len(ids)) for inc in incident]
+
+
+def _orbit_representatives(h: Hypergraph, k: int) -> list[Edge]:
+    """One missing k-set per multiset of twin classes.
+
+    Two missing k-sets whose vertices pair up across the same twin classes
+    are related by an automorphism, so one check decides the whole class.
+    """
+    cls = _twin_classes(h)
+    members: list[list[int]] = [[] for _ in range(max(cls, default=-1) + 1)]
+    for v, c in enumerate(cls):
+        members[c].append(v)
 
     present = h.edge_set()
     reps: list[Edge] = []

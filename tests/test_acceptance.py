@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines; the heaviest case (criterion 4) takes 10 to 20 seconds.
+lines; the heaviest case (criterion 4) takes about 10 seconds on a 2-CPU VM,
+three quarters of it in the orbit pass.
 """
 
 import itertools

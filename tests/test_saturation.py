@@ -4,6 +4,7 @@ import random
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from math import comb
 
 import pytest
 
@@ -243,21 +244,23 @@ class TestAgainstReference:
         assert report.saturated
         assert probes["probes"] < report.checked_missing // 4
 
-    def test_full_scan_decides_each_missing_set_once(self, monkeypatch):
-        decided = Counter()
-        real_creates_new = saturation._creates_new
+    def test_full_scan_probes_missing_sets_once_in_order(self, monkeypatch):
+        probed = []
+        real_search = engine._search
 
-        def counting(index, pattern, good, t):
-            decided[t] += 1
-            return real_creates_new(index, pattern, good, t)
+        def recording_search(*args, **kwargs):
+            if kwargs.get("required_edge") is not None:
+                probed.append(kwargs["required_edge"])
+            return real_search(*args, **kwargs)
 
-        monkeypatch.setattr(saturation, "_creates_new", counting)
+        monkeypatch.setattr(engine, "_search", recording_search)
         for h, f, k in reference_corpus():
-            decided.clear()
+            probed.clear()
             report = is_saturated(h, f, k, jobs=1)
-            assert list(decided) == list(missing_edges(h, k))
-            assert set(decided.values()) <= {1}
-            assert report.checked_missing == sum(decided.values())
+            present = h.edge_set()
+            assert all(len(t) == k and t not in present for t in probed)
+            assert probed == sorted(set(probed))  # each once, lexicographic
+            assert report.checked_missing == comb(h.n, k) - len(h.edges)
 
     def test_sampler_matches_indexing_the_missing_sets(self):
         for seed, (h, _, k) in enumerate(reference_corpus()):
@@ -297,6 +300,99 @@ class TestAgainstReference:
         monkeypatch.setattr(saturation.os, "cpu_count", lambda: 2)
         assert is_saturated(s21, K4, 3, jobs=2) == expected
         assert requested == [None]
+
+
+def twin_host(rng: random.Random, sizes: tuple[int, ...]) -> Hypergraph:
+    """A random hypergraph of 3 to 6 hubs and 1 to 3 blocks of 2 to 4
+    twins, plus up to 2 isolated vertices.  Every edge holds either hubs
+    only or one whole block padded with hubs, and has a size in ``sizes``.
+    Labels are shuffled, so twin classes are not numbered in vertex order."""
+    hubs = rng.randint(3, 6)
+    blocks = [rng.randint(2, min(4, max(sizes))) for _ in range(rng.randint(1, 3))]
+    n = hubs + sum(blocks) + rng.randint(0, 2)
+    labels = rng.sample(range(n), n)
+    hub, rest = labels[:hubs], labels[hubs:]
+    edges = set()
+    for size in blocks:
+        block, rest = rest[:size], rest[size:]
+        for _ in range(rng.randint(1, 3)):
+            total = rng.choice([s for s in sizes if size <= s <= size + hubs])
+            edges.add(tuple(sorted(block + rng.sample(hub, total - size))))
+    for _ in range(rng.randint(0, 8)):
+        total = rng.choice(sizes)
+        edges.add(tuple(sorted(rng.sample(hub, min(total, hubs)))))
+    return Hypergraph(n, tuple(sorted(e for e in edges if len(e) in sizes)))
+
+
+def twin_corpus():
+    rng = random.Random(77)
+    for k in (2, 3, 4):
+        for f in (K3, K4, make_clique(5), make_cycle(4), make_cycle(5), make_path(4),
+                  k4_minus_edge()):
+            for _ in range(2):
+                yield twin_host(rng, (k,)), f, k
+    # the reference corpus already has S(24,4,5) less one edge
+    s30, s24 = build_s(30, 3, 4)[0], build_s(24, 4, 5)[0]
+    for h, f, k, removed in ((s30, K4, 3, 1), (s30, K4, 3, 2), (s24, make_clique(5), 4, 2)):
+        drop = rng.sample(range(len(h.edges)), removed)
+        yield Hypergraph(h.n, tuple(e for i, e in enumerate(h.edges) if i not in drop)), f, k
+
+
+class TestTwinClasses:
+    """The verifier decides pairs through a memo keyed by twin classes."""
+
+    def test_every_mode_and_worker_count_matches_the_reference(self, monkeypatch):
+        monkeypatch.setattr(saturation, "_LIST_CHUNK", 16)  # list modes fan out too
+        twins = 0
+        for seed, (h, f, k) in enumerate(twin_corpus()):
+            cls = saturation._twin_classes(h)
+            twins += h.n - len(set(cls))
+            expected = saturation_violations(h, f, k)
+            bad = set(expected)
+            reps = saturation._orbit_representatives(h, k)
+            picks = saturation._sample_missing(h, k, 40, seed)
+            for jobs in (1, 2):
+                full = is_saturated(h, f, k, jobs=jobs)
+                assert full.violations_sat == expected
+                orbit = is_saturated(h, f, k, jobs=jobs, orbits=True)
+                assert orbit.violations_sat == [t for t in reps if t in bad]
+                sampled = is_saturated(h, f, k, jobs=jobs, sample=40, seed=seed)
+                assert sampled.violations_sat == [t for t in picks if t in bad]
+        assert twins > 100  # the corpus really has large twin classes
+
+    def test_pair_failures_match_the_pair_probe(self):
+        rng = random.Random(78)
+        hosts = [twin_host(rng, sizes) for sizes in ((2,), (3,), (2, 3), (2, 3, 4))
+                 for _ in range(6)]
+        assert any(len(set(map(len, h.edges))) > 1 for h in hosts)
+        for h in hosts:
+            present = h.edge_set()
+            for ell in (3, 4, 5):
+                expected = [p for p in itertools.combinations(range(h.n), 2)
+                            if p not in present and not engine.is_ell_good(h, *p, ell)]
+                report = all_pairs_good(h, ell)
+                assert report.failures == expected
+                assert report.checked == count_missing_edges(h, 2)
+
+    def test_probes_bounded_by_twin_class_pairs(self, probes):
+        h = build_s(100, 4, 5)[0]
+        cls = saturation._twin_classes(h)
+        keys = {tuple(sorted((cls[a], cls[b]))) for a, b in itertools.combinations(range(h.n), 2)}
+        assert len(keys) == 773
+        assert is_saturated(h, make_clique(5), 4).saturated
+        assert probes["probes"] <= len(keys)
+        probes.clear()
+        all_pairs_good(h, 5)
+        assert probes["probes"] <= len(keys)
+
+    def test_twins_share_their_edges(self):
+        for h, _, _ in twin_corpus():
+            cls = saturation._twin_classes(h)
+            incident = [{i for i, e in enumerate(h.edges) if v in e} for v in range(h.n)]
+            for a, b in itertools.combinations(range(h.n), 2):
+                assert (cls[a] == cls[b]) == (incident[a] == incident[b])
+            firsts = [cls.index(c) for c in range(len(set(cls)))]
+            assert firsts == sorted(firsts)  # numbered in order of least vertex
 
 
 class TestLemmaReports:
