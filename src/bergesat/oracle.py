@@ -5,8 +5,9 @@ the pattern vertices and, per injection, every assignment of distinct
 hyperedges to pattern edges -- no matching machinery, so it is an
 independent ground truth for the fast engine.  ``saturation_violations``
 probes every missing k-set on its own, the reference for the verifier's
-pair memo.  ``min_saturation_search`` enumerates all edge subsets of bounded
-size and is the ground truth for saturation numbers on tiny instances.
+pair memo; ``orbit_representatives`` lists the k-sets orbit mode checks.
+``min_saturation_search`` enumerates all edge subsets of bounded size and
+is the ground truth for saturation numbers on tiny instances.
 """
 
 from __future__ import annotations
@@ -59,6 +60,17 @@ def saturation_violations(h: Hypergraph, f: Graph, k: int) -> list[tuple[int, ..
     """Every missing k-set whose addition creates no new Berge copy of ``f``,
     in lexicographic order, one independent probe each."""
     return [t for t in missing_edges(h, k) if not engine.creates_new_berge(h, t, f)]
+
+
+def orbit_representatives(h: Hypergraph, k: int) -> list[tuple[int, ...]]:
+    """The missing k-sets orbit mode checks: those that hold, with each
+    vertex, every smaller twin (a vertex in the same edges), sorted by the
+    least vertices of the twin classes they meet."""
+    incident = [tuple(i for i, e in enumerate(h.edges) if v in e) for v in range(h.n)]
+    least = [incident.index(inc) for inc in incident]
+    reps = [t for t in missing_edges(h, k)
+            if all(u in t for v in t for u in range(least[v], v) if least[u] == least[v])]
+    return sorted(reps, key=lambda t: sorted(least[v] for v in t))
 
 
 def greedy_saturate(h: Hypergraph, f: Graph, k: int, order=None) -> Hypergraph:

@@ -2,9 +2,9 @@
 
 The verifier treats the hypergraph as opaque.  Full mode decides every
 missing k-set and is the only mode that certifies saturation.  Sampled mode
-probes a seeded uniform sample of missing k-sets.  Orbit mode groups missing
-k-sets by the twin classes of their vertices and checks one representative
-per class -- a sanity pass that is not a certificate.
+probes a seeded uniform sample of missing k-sets.  Orbit mode checks one
+missing k-set per multiset of twin classes -- a sanity pass that is not a
+certificate.
 
 Every mode, and greedy completion (``oracle.greedy_saturate``), decides a
 missing set with one helper, ``_creates_new``.  A missing set t creates a
@@ -24,6 +24,9 @@ their classes is, or, for twins a and b, iff the two least members of
 their class are: one memo entry per pair of classes decides all of its
 pairs.  Full mode extends a lexicographic prefix only while none of its
 pairs is known good, so it never walks the k-sets through a good pair.
+Orbit mode runs the same scan over the least member of each class multiset,
+whose members are automorphic: a vertex joins a prefix only if the prefix
+holds its previous twin or it has none.  Violations come in multiset order.
 Greedy completion grows its host, which can part twins, so it keys pairs by
 vertex; adding edges keeps every copy, so a good pair stays good, while a
 bad mark is dropped as soon as its k-set is added.
@@ -34,8 +37,9 @@ deterministically: the report is identical for any worker count.  Each
 worker keeps its own memo and returns only the violations of its task, in
 order.  Its state is kept per thread, so concurrent calls in one process do
 not share it.  The count of checked sets is known without the scan:
-C(n, k) - |E| in full mode, and the length of the list in sampled and orbit
-modes.
+C(n, k) - |E| in full mode, the sample size in sampled mode, and in orbit
+mode the number of class multisets less |E|, as a class meeting an edge lies
+inside it.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ import os
 import random
 import threading
 import time
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from math import comb
@@ -57,7 +62,7 @@ from .invariants import make_clique
 
 Edge = tuple[int, ...]
 
-_LIST_CHUNK = 20_000  # sampled or orbit k-sets per work unit
+_LIST_CHUNK = 20_000  # sampled k-sets per work unit
 
 
 @dataclass
@@ -119,28 +124,20 @@ def all_cores_present(h: Hypergraph, ell: int) -> engine.CoreCoverageReport:
 
 
 def _rank_kset(t: Edge, n: int) -> int:
-    r = 0
-    prev = -1
+    # the k-sets after t: C(n - 1 - v, k - i) agree with t before position i, exceed v there
     k = len(t)
-    for i, v in enumerate(t):
-        for u in range(prev + 1, v):
-            r += comb(n - u - 1, k - i - 1)
-        prev = v
-    return r
+    return comb(n, k) - 1 - sum(comb(n - 1 - v, k - i) for i, v in enumerate(t))
 
 
 def _unrank_kset(n: int, k: int, rank: int) -> list[int]:
     out = []
     v = 0
     for i in range(k):
-        while True:
-            c = comb(n - v - 1, k - i - 1)
-            if rank < c:
-                out.append(v)
-                v += 1
-                break
-            rank -= c
+        while rank >= comb(n - v - 1, k - i - 1):
+            rank -= comb(n - v - 1, k - i - 1)
             v += 1
+        out.append(v)
+        v += 1
     return out
 
 
@@ -150,11 +147,13 @@ def _unrank_kset(n: int, k: int, rank: int) -> list[int]:
 _work = threading.local()  # one scan's state per thread, so concurrent calls stay apart
 
 
-def _init_worker(h: Hypergraph, f: Graph, k: int) -> None:
+def _init_worker(h: Hypergraph, f: Graph, k: int, orbits: bool) -> None:
     _work.index = engine._Index(h)
     _work.pattern = engine._Pattern(f)
     _work.k = k
     _work.cls = _twin_classes(h)
+    # orbit mode walks least members only; -1 lets full mode take any vertex
+    _work.prev = _previous_twins(_work.cls) if orbits else [-1] * h.n
     _work.good = set()  # class keys of pairs known good
     _work.bad = set()  # class keys of pairs known bad
 
@@ -171,10 +170,9 @@ def _creates_new(index, pattern, cls: list[int], good: set, bad: set, t: Edge) -
     the pattern edge it assigns to ``t``, and a failure marks bad the key of
     every pair of ``t``.
     """
-    classes = sorted(map(cls.__getitem__, t))
-    if not good.isdisjoint(itertools.combinations(classes, 2)):
+    keys = list(itertools.combinations(sorted(map(cls.__getitem__, t)), 2))
+    if not good.isdisjoint(keys):
         return True
-    keys = list(itertools.combinations(classes, 2))
     if bad.issuperset(keys):
         return False
     w = engine._search(index, pattern, required_edge=t)
@@ -195,13 +193,14 @@ def _scan_list(ksets: Iterable[Edge]) -> list[Edge]:
 
 def _scan_first(u: int) -> list[Edge]:
     """The missing k-sets whose least vertex is ``u`` and that create no new
-    Berge copy, in lexicographic order.
+    Berge copy, in lexicographic order; in orbit mode only least members of
+    their class multisets.
 
     A prefix is extended only while none of its pairs is known good: every
     k-set through a good pair creates a new copy.
     """
     index, pattern, k = _work.index, _work.pattern, _work.k
-    cls, good, bad = _work.cls, _work.good, _work.bad
+    cls, prev, good, bad = _work.cls, _work.prev, _work.good, _work.bad
     present, n = index.id_of, index.n
     out: list[Edge] = []
 
@@ -215,6 +214,8 @@ def _scan_first(u: int) -> list[Edge]:
             return
         classes = [cls[v] for v in t]
         for v in range(t[-1] + 1, n - k + len(t) + 1):
+            if prev[v] >= 0 and prev[v] not in t:
+                continue  # its previous twin is missing: not a least member
             cv = cls[v]
             if any(known_good(c, cv) for c in classes):
                 continue
@@ -227,15 +228,15 @@ def _scan_first(u: int) -> list[Edge]:
     return out
 
 
-def _run_tasks(h, f, k, worker, tasks, jobs) -> list[Edge]:
+def _run_tasks(h, f, k, worker, tasks, jobs, orbits=False) -> list[Edge]:
     """Run ``worker`` over ``tasks`` and merge the violations in task order."""
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
-        _init_worker(h, f, k)
+        _init_worker(h, f, k, orbits)
         results = [worker(t) for t in tasks]
     else:
         ctx = multiprocessing.get_context(None)  # the platform's default method
-        with ctx.Pool(workers, initializer=_init_worker, initargs=(h, f, k)) as pool:
+        with ctx.Pool(workers, initializer=_init_worker, initargs=(h, f, k, orbits)) as pool:
             results = pool.map(worker, tasks)
     return [t for v in results for t in v]
 
@@ -258,29 +259,21 @@ def _twin_classes(h: Hypergraph) -> list[int]:
     return [ids.setdefault(tuple(inc), len(ids)) for inc in incident]
 
 
-def _orbit_representatives(h: Hypergraph, k: int) -> list[Edge]:
-    """One missing k-set per multiset of twin classes.
-
-    Two missing k-sets whose vertices pair up across the same twin classes
-    are related by an automorphism, so one check decides the whole class.
-    """
-    cls = _twin_classes(h)
-    members: list[list[int]] = [[] for _ in range(max(cls, default=-1) + 1)]
+def _previous_twins(cls: list[int]) -> list[int]:
+    """The previous member of each vertex's twin class, or -1 for the first."""
+    prev, last = [-1] * len(cls), {}
     for v, c in enumerate(cls):
-        members[c].append(v)
+        prev[v], last[c] = last.get(c, -1), v
+    return prev
 
-    present = h.edge_set()
-    reps: list[Edge] = []
-    for multiset in itertools.combinations_with_replacement(range(len(members)), k):
-        uniq = [(cid, len(list(group))) for cid, group in itertools.groupby(multiset)]
-        if any(mult > len(members[cid]) for cid, mult in uniq):
-            continue  # no k-set has these classes
-        # the least member; when it is an edge, every class it meets lies
-        # inside that edge, so it is the only member and none is missing
-        first = tuple(sorted(v for cid, mult in uniq for v in members[cid][:mult]))
-        if first not in present:
-            reps.append(first)
-    return reps
+
+def _count_class_multisets(cls: list[int], k: int) -> int:
+    """The multisets of k twin classes that some k-set has: the x^k
+    coefficient of the product over classes C of 1 + x + ... + x^|C|."""
+    coef = [1] + [0] * k
+    for size in Counter(cls).values():
+        coef = [sum(coef[j - min(size, j): j + 1]) for j in range(k + 1)]
+    return coef[k]
 
 
 # ---------------------------------------------------------------------------
@@ -333,38 +326,32 @@ def is_saturated(
         raise ValueError("jobs must be at least 1")
 
     free, witness = is_berge_free(h, f)
-    violations_free = [] if free else [witness]
-
-    mode = "full"
+    mode = "orbits" if orbits else "full" if sample is None else "sampled"
     reduction = None
-    sample_count = None
-    sample_seed = None
-    if orbits:
-        mode = "orbits"
-        ksets = _orbit_representatives(h, k)
-        if ksets:
-            reduction = count_missing_edges(h, k) / len(ksets)
-    elif sample is not None:
-        mode = "sampled"
-        sample_count = sample
-        sample_seed = seed
+    if mode == "orbits":
+        cls = _twin_classes(h)
+        checked = _count_class_multisets(cls, k) - len(h.edges)
+        reduction = count_missing_edges(h, k) / checked if checked else None
+        heads = [v for v, p in enumerate(_previous_twins(cls)) if p < 0]
+        found = _run_tasks(h, f, k, _scan_first, heads, jobs, orbits=True)
+        violations_sat = sorted(found, key=lambda t: sorted(map(cls.__getitem__, t)))
+    elif mode == "sampled":
         ksets = _sample_missing(h, k, sample, seed)
-    if mode == "full":
-        checked = count_missing_edges(h, k)
-        violations_sat = _run_tasks(h, f, k, _scan_first, range(h.n), jobs)
-    else:
         checked = len(ksets)
         tasks = [ksets[i: i + _LIST_CHUNK] for i in range(0, len(ksets), _LIST_CHUNK)]
         violations_sat = _run_tasks(h, f, k, _scan_list, tasks, jobs)
+    else:
+        checked = count_missing_edges(h, k)
+        violations_sat = _run_tasks(h, f, k, _scan_first, range(h.n), jobs)
 
     return SaturationReport(
         is_free=free,
-        violations_free=violations_free,
+        violations_free=[] if free else [witness],
         checked_missing=checked,
         violations_sat=violations_sat,
         mode=mode,
         elapsed=time.perf_counter() - start,
-        sample_count=sample_count,
-        sample_seed=sample_seed,
+        sample_count=sample,  # None unless sampled
+        sample_seed=None if sample is None else seed,
         reduction_factor=reduction,
     )

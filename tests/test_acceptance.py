@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines; the heaviest case (criterion 4) takes about 10 seconds on a 2-CPU VM,
-three quarters of it in the orbit pass.
+lines; the heaviest case (criterion 4) takes 5 to 6 seconds on a 2-CPU VM,
+about 2 of them in the orbit pass.
 """
 
 import itertools
@@ -112,7 +112,7 @@ def test_criterion_04_saturation_large_instance():
     orbit = is_saturated(s360, K4, 3, jobs=8, orbits=True)
     elapsed_orbit = time.perf_counter() - t1
     agree = orbit.no_violations == full.no_violations and orbit.is_free == full.is_free
-    ok &= agree and elapsed_orbit < 60
+    ok &= agree and orbit.checked_missing == 1_053_231 and elapsed_orbit < 60
 
     report(4, ok,
            f"S(360,3,4) certified over {full.checked_missing} missing triples; "

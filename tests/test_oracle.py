@@ -14,10 +14,12 @@ from bergesat.oracle import (
     berge_oracle,
     greedy_saturate,
     min_saturation_search,
+    orbit_representatives,
 )
 from bergesat.saturation import is_saturated
 
 from conftest import k4_minus_edge, random_hypergraph, small_patterns
+from test_saturation import reference_corpus, twin_corpus
 
 K3 = make_clique(3)
 K4 = make_clique(4)
@@ -163,6 +165,26 @@ class TestGreedyAgainstReference:
         order = list(itertools.islice(missing_edges(Hypergraph(5, ()), 3), 2)) + [bad]
         with pytest.raises(ValueError):
             greedy_saturate(Hypergraph(5, ()), K3, 3, order=order)
+
+
+class TestOrbitRepresentatives:
+    def test_cover_every_class_once(self):
+        for h, _, k in itertools.chain(reference_corpus(), twin_corpus()):
+            incidence = [tuple(i for i, e in enumerate(h.edges) if v in e) for v in range(h.n)]
+
+            def classes(t):
+                return tuple(sorted(incidence[v] for v in t))
+
+            least = {}  # the lexicographically first missing member of each multiset
+            for t in missing_edges(h, k):
+                least.setdefault(classes(t), t)
+            reps = orbit_representatives(h, k)
+            assert sorted(reps) == sorted(least.values())
+            first: dict = {}
+            for v, inc in enumerate(incidence):
+                first.setdefault(inc, v)
+            keys = [sorted(first[incidence[v]] for v in t) for t in reps]
+            assert keys == sorted(keys)  # classes are numbered by least vertex
 
 
 class TestMinSaturationSearch:

@@ -12,7 +12,7 @@ from bergesat import engine, saturation
 from bergesat.core import Hypergraph, add_edge, count_missing_edges, missing_edges
 from bergesat.constructions import build_c_k_4, build_c_k_ell, build_s
 from bergesat.invariants import make_clique, make_cycle, make_path, make_star
-from bergesat.oracle import saturation_violations
+from bergesat.oracle import orbit_representatives, saturation_violations
 from bergesat.saturation import (
     all_cores_present,
     all_pairs_good,
@@ -67,7 +67,7 @@ class TestIsSaturated:
         assert is_saturated(s21, K4, 3, jobs=1) == is_saturated(s21, K4, 3, jobs=8)
 
     def test_worker_count_does_not_change_violations(self, monkeypatch):
-        # small work units so that every mode really fans out
+        # small work units so that sampled mode really fans out
         monkeypatch.setattr(saturation, "_LIST_CHUNK", 64)
         rng = random.Random(5)
         triples = list(itertools.combinations(range(16), 3))
@@ -203,6 +203,11 @@ def reference_corpus():
         yield one_edge_removed(rng, n, k, ell), make_clique(ell), k
 
 
+def reduction(h: Hypergraph, k: int, reps: list) -> float | None:
+    """The reduction factor an orbit report over ``reps`` must carry."""
+    return count_missing_edges(h, k) / len(reps) if reps else None
+
+
 @pytest.fixture
 def probes(monkeypatch):
     """Counts engine searches on a missing k-set (freeness checks excluded)."""
@@ -231,9 +236,11 @@ class TestAgainstReference:
             assert probes["probes"] <= full.checked_missing
 
             orbit = is_saturated(h, f, k, orbits=True)
-            reps = saturation._orbit_representatives(h, k)
+            reps = orbit_representatives(h, k)
             assert orbit.violations_sat == [t for t in reps if t in bad]
             assert bool(orbit.violations_sat) == bool(expected)
+            assert orbit.checked_missing == len(reps)
+            assert orbit.reduction_factor == reduction(h, k, reps)
 
             sampled = is_saturated(h, f, k, sample=15, seed=seed)
             picks = saturation._sample_missing(h, k, 15, seed)
@@ -270,20 +277,6 @@ class TestAgainstReference:
                 picks = sorted(random.Random(seed).sample(range(total), min(count, total)))
                 expected = [missing[i] for i in picks]
                 assert saturation._sample_missing(h, k, count, seed) == expected
-
-    def test_orbit_representatives_cover_every_class_once(self):
-        for h, _, k in reference_corpus():
-            incidence = [tuple(i for i, e in enumerate(h.edges) if v in e) for v in range(h.n)]
-
-            def classes(t):
-                return tuple(sorted(incidence[v] for v in t))
-
-            present = h.edge_set()
-            reps = saturation._orbit_representatives(h, k)
-            assert all(t not in present for t in reps)
-            rep_classes = [classes(t) for t in reps]
-            assert len(set(rep_classes)) == len(rep_classes)
-            assert set(rep_classes) == {classes(t) for t in missing_edges(h, k)}
 
     def test_spawned_workers_give_the_same_report(self, monkeypatch, s21):
         # spawn starts each worker from a fresh interpreter, the only start
@@ -336,26 +329,30 @@ def twin_corpus():
     for h, f, k, removed in ((s30, K4, 3, 1), (s30, K4, 3, 2), (s24, make_clique(5), 4, 2)):
         drop = rng.sample(range(len(h.edges)), removed)
         yield Hypergraph(h.n, tuple(e for i, e in enumerate(h.edges) if i not in drop)), f, k
+    # ten isolated vertices form one twin class larger than k
+    yield Hypergraph(31, build_s(21, 3, 4)[0].edges), K4, 3
 
 
 class TestTwinClasses:
     """The verifier decides pairs through a memo keyed by twin classes."""
 
     def test_every_mode_and_worker_count_matches_the_reference(self, monkeypatch):
-        monkeypatch.setattr(saturation, "_LIST_CHUNK", 16)  # list modes fan out too
+        monkeypatch.setattr(saturation, "_LIST_CHUNK", 16)  # sampled mode fans out too
         twins = 0
         for seed, (h, f, k) in enumerate(twin_corpus()):
             cls = saturation._twin_classes(h)
             twins += h.n - len(set(cls))
             expected = saturation_violations(h, f, k)
             bad = set(expected)
-            reps = saturation._orbit_representatives(h, k)
+            reps = orbit_representatives(h, k)
             picks = saturation._sample_missing(h, k, 40, seed)
             for jobs in (1, 2):
                 full = is_saturated(h, f, k, jobs=jobs)
                 assert full.violations_sat == expected
                 orbit = is_saturated(h, f, k, jobs=jobs, orbits=True)
                 assert orbit.violations_sat == [t for t in reps if t in bad]
+                assert orbit.checked_missing == len(reps)
+                assert orbit.reduction_factor == reduction(h, k, reps)
                 sampled = is_saturated(h, f, k, jobs=jobs, sample=40, seed=seed)
                 assert sampled.violations_sat == [t for t in picks if t in bad]
         assert twins > 100  # the corpus really has large twin classes
