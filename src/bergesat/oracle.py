@@ -94,12 +94,12 @@ def greedy_saturate(h: Hypergraph, f: Graph, k: int, order=None) -> Hypergraph:
         candidates = (_as_edge(e, h.n) for e in order)
     index = engine._Index(h)
     pattern = engine._Pattern(f)
-    # the host grows, so twins may part: each vertex is its own class
-    cls = list(range(h.n))
-    good: set[tuple[int, int]] = set()  # stays good as edges are added
-    bad: set[tuple[int, int]] = set()
+    # the host grows, so twins may part: each vertex keys only itself
+    key = [(v, v) for v in range(h.n)]
+    good: set[tuple[int, int, bool]] = set()  # stays good as edges are added
+    bad: set[tuple[int, int, bool]] = set()
     for t in candidates:
-        if t not in index.id_of and not saturation._creates_new(index, pattern, cls, good, bad, t):
+        if t not in index.id_of and not saturation._creates_new(index, pattern, key, good, bad, t):
             index.add(t)
             # only this failure marked pairs bad, and adding t may make them good
             bad.clear()

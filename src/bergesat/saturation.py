@@ -16,20 +16,26 @@ that fails proves every pair inside t bad.  A missing set with a pair known
 good, or with every pair known bad, needs no probe; any other set is probed,
 so the answers are exact.
 
-Pairs are known by twin class.  Two vertices are twins when they lie in
-exactly the same edges, so swapping them maps every edge to itself: an
-automorphism of the host, which carries each Berge copy of h + {a, b} to one
-of h + {a', b'}.  Hence {a, b} is good iff the pair of the least members of
-their classes is, or, for twins a and b, iff the two least members of
-their class are: one memo entry per pair of classes decides all of its
-pairs.  Full mode extends a lexicographic prefix only while none of its
-pairs is known good, so it never walks the k-sets through a good pair.
+Pairs are known by swap group.  An automorphism of the host carries each
+Berge copy of h + {a, b} to one of h + {a', b'}, so pairs in one orbit are
+good or bad together.  Two vertices are twins when they lie in exactly the
+same edges; swapping them is an automorphism.  Two twin classes C and D of
+one size swap when mapping C's members onto D's in increasing order, and
+back, maps every edge to an edge; this is checked on the edge set, never
+assumed.  Swapping is an equivalence: if C and D each swap with F, then
+(C, D) = (D, F)(C, F)(D, F) is a composition of automorphisms.  So the
+classes fall into swap groups, and any permutation of the classes of a
+group, with twins permuted freely inside each class, is an automorphism.
+Two pairs whose ends lie in the same two groups, both in one class or both
+in two classes, are thus in one orbit: one memo entry per key decides all
+of its pairs.  Full mode extends a lexicographic prefix only while none of
+its pairs is known good, so it never walks the k-sets through a good pair.
 Orbit mode runs the same scan over the least member of each class multiset,
-whose members are automorphic: a vertex joins a prefix only if the prefix
-holds its previous twin or it has none.  Violations come in multiset order.
-Greedy completion grows its host, which can part twins, so it keys pairs by
-vertex; adding edges keeps every copy, so a good pair stays good, while a
-bad mark is dropped as soon as its k-set is added.
+whose members are automorphic: a prefix steps only to the head of a class
+or to the next twin of one of its vertices.  Violations come in multiset
+order.  Greedy completion grows its host, which can part twins, so it keys
+pairs by vertex; adding edges keeps every copy, so a good pair stays good,
+while a bad mark is dropped as soon as its k-set is added.
 
 Missing-edge checks are pure, so they fan out over at most one worker
 process per CPU, started by the platform's default method, and merge
@@ -50,6 +56,7 @@ import os
 import random
 import threading
 import time
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -129,18 +136,6 @@ def _rank_kset(t: Edge, n: int) -> int:
     return comb(n, k) - 1 - sum(comb(n - 1 - v, k - i) for i, v in enumerate(t))
 
 
-def _unrank_kset(n: int, k: int, rank: int) -> list[int]:
-    out = []
-    v = 0
-    for i in range(k):
-        while rank >= comb(n - v - 1, k - i - 1):
-            rank -= comb(n - v - 1, k - i - 1)
-            v += 1
-        out.append(v)
-        v += 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # worker machinery (module level so pool workers can reach it)
 
@@ -151,26 +146,37 @@ def _init_worker(h: Hypergraph, f: Graph, k: int, orbits: bool) -> None:
     _work.index = engine._Index(h)
     _work.pattern = engine._Pattern(f)
     _work.k = k
-    _work.cls = _twin_classes(h)
-    # orbit mode walks least members only; -1 lets full mode take any vertex
-    _work.prev = _previous_twins(_work.cls) if orbits else [-1] * h.n
-    _work.good = set()  # class keys of pairs known good
-    _work.bad = set()  # class keys of pairs known bad
+    cls, members, group = _swap_groups(h)
+    class_key = [(g, c) for c, g in enumerate(group)]  # the members of a class share one tuple
+    _work.key = [class_key[c] for c in cls]
+    _work.members = members
+    # orbit mode walks least members only: the least vertex of each class, in class order
+    _work.heads = [m[0] for m in members] if orbits else None
+    _work.good = set()  # keys of pairs known good
+    _work.bad = set()  # keys of pairs known bad
 
 
-def _creates_new(index, pattern, cls: list[int], good: set, bad: set, t: Edge) -> bool:
+def _pair_key(ka: tuple[int, int], kb: tuple[int, int]) -> tuple[int, int, bool]:
+    """The memo key of a pair whose ends have the vertex keys ``ka`` and
+    ``kb``, each a (swap group, twin class): the sorted groups, and whether
+    both ends lie in one class."""
+    (ga, ca), (gb, cb) = ka, kb
+    return (ga, gb, ca == cb) if ga <= gb else (gb, ga, ca == cb)
+
+
+def _creates_new(index, pattern, key: list, good: set, bad: set, t: Edge) -> bool:
     """Does adding the missing set ``t`` to the indexed host create a new
     Berge copy?
 
-    The class key of a pair {a, b} is the sorted pair of the classes
-    ``cls[a]`` and ``cls[b]``; ``good`` and ``bad`` hold the keys of pairs
-    known good and known bad.  ``t`` is answered without a probe when one of
-    its pairs is known good, or when all of them are known bad.  Otherwise
-    it is probed once: a witness marks good the key of the core images of
-    the pattern edge it assigns to ``t``, and a failure marks bad the key of
-    every pair of ``t``.
+    ``key[v]`` is the vertex key of v; pairs of equal ``_pair_key`` lie in
+    one orbit of the host's automorphisms.  ``good`` and ``bad`` hold the
+    keys of pairs known good and known bad.  ``t`` is answered without a
+    probe when one of its pairs is known good, or when all of them are
+    known bad.  Otherwise it is probed once: a witness marks good the key of
+    the core images of the pattern edge it assigns to ``t``, and a failure
+    marks bad the key of every pair of ``t``.
     """
-    keys = list(itertools.combinations(sorted(map(cls.__getitem__, t)), 2))
+    keys = [_pair_key(key[a], key[b]) for a, b in itertools.combinations(t, 2)]
     if not good.isdisjoint(keys):
         return True
     if bad.issuperset(keys):
@@ -180,15 +186,14 @@ def _creates_new(index, pattern, cls: list[int], good: set, bad: set, t: Edge) -
         bad.update(keys)
         return False
     x, y = next(fe for fe, e in w.edge_map.items() if e == t)
-    ca, cb = cls[w.core_map[x]], cls[w.core_map[y]]
-    good.add((ca, cb) if ca <= cb else (cb, ca))
+    good.add(_pair_key(key[w.core_map[x]], key[w.core_map[y]]))
     return True
 
 
 def _scan_list(ksets: Iterable[Edge]) -> list[Edge]:
     """The missing k-sets, in order, that create no new Berge copy."""
-    index, pattern, cls, good, bad = _work.index, _work.pattern, _work.cls, _work.good, _work.bad
-    return [t for t in ksets if not _creates_new(index, pattern, cls, good, bad, t)]
+    index, pattern, key, good, bad = _work.index, _work.pattern, _work.key, _work.good, _work.bad
+    return [t for t in ksets if not _creates_new(index, pattern, key, good, bad, t)]
 
 
 def _scan_first(u: int) -> list[Edge]:
@@ -200,29 +205,50 @@ def _scan_first(u: int) -> list[Edge]:
     k-set through a good pair creates a new copy.
     """
     index, pattern, k = _work.index, _work.pattern, _work.k
-    cls, prev, good, bad = _work.cls, _work.prev, _work.good, _work.bad
+    key, good, bad = _work.key, _work.good, _work.bad
+    members, heads = _work.members, _work.heads
     present, n = index.id_of, index.n
     out: list[Edge] = []
 
-    def known_good(ca: int, cb: int) -> bool:
-        return ((ca, cb) if ca <= cb else (cb, ca)) in good
+    def steps(t: Edge) -> Iterable[int]:
+        lo, hi = t[-1] + 1, n - k + len(t) + 1
+        if heads is None:
+            return range(lo, hi)
+        # a least member takes the head of a class first, then its next twins
+        later = []
+        for v in t:
+            twins = members[key[v][1]]
+            i = bisect_right(twins, v)
+            if i < len(twins) and lo <= twins[i] < hi:
+                later.append(twins[i])
+        return sorted(heads[bisect_left(heads, lo): bisect_left(heads, hi)] + later)
 
     def grow(t: Edge) -> None:
         if len(t) == k:
-            if t not in present and not _creates_new(index, pattern, cls, good, bad, t):
+            if t not in present and not _creates_new(index, pattern, key, good, bad, t):
                 out.append(t)
             return
-        classes = [cls[v] for v in t]
-        for v in range(t[-1] + 1, n - k + len(t) + 1):
-            if prev[v] >= 0 and prev[v] not in t:
-                continue  # its previous twin is missing: not a least member
-            cv = cls[v]
-            if any(known_good(c, cv) for c in classes):
+        keys = [key[v] for v in t]
+        classes = {c for _, c in keys}
+        # whether a vertex of group g outside t's classes makes a good pair with t
+        known: dict[int, bool] = {}
+        for v in steps(t):
+            g, c = kv = key[v]
+            if c in classes:
+                hit = any(_pair_key(ka, kv) in good for ka in keys)
+            else:
+                hit = known.get(g)
+                if hit is None:
+                    hit = known[g] = any(_pair_key(ka, (g, -1)) in good for ka in keys)
+            if hit:
                 continue
+            size = len(good)
             grow(t + (v,))
-            # a witness below may have proved a pair of t itself good
-            if any(known_good(ca, cb) for ca, cb in itertools.combinations(classes, 2)):
-                return
+            if len(good) != size:
+                known.clear()
+                # a witness below may have proved a pair of t itself good
+                if any(_pair_key(ka, kb) in good for ka, kb in itertools.combinations(keys, 2)):
+                    return
 
     grow((u,))
     return out
@@ -251,20 +277,64 @@ def _twin_classes(h: Hypergraph) -> list[int]:
     Twins lie in exactly the same edges (each dominates the other), so
     swapping two of them maps every edge to itself: an automorphism of h.
     """
-    incident: list[list[int]] = [[] for _ in range(h.n)]
+    incident: dict[int, list[int]] = {}
     for eid, e in enumerate(h.edges):
         for v in e:
-            incident[v].append(eid)
-    ids: dict[tuple[int, ...], int] = {}
-    return [ids.setdefault(tuple(inc), len(ids)) for inc in incident]
+            incident.setdefault(v, []).append(eid)
+    keys = [tuple(incident.get(v, ())) for v in range(h.n)]
+    ids = {inc: c for c, inc in enumerate(dict.fromkeys(keys))}
+    return [ids[inc] for inc in keys]
 
 
-def _previous_twins(cls: list[int]) -> list[int]:
-    """The previous member of each vertex's twin class, or -1 for the first."""
-    prev, last = [-1] * len(cls), {}
+def _class_members(cls: list[int]) -> list[list[int]]:
+    """The members of each twin class, in increasing order."""
+    members: list[list[int]] = [[] for _ in range(max(cls, default=-1) + 1)]
     for v, c in enumerate(cls):
-        prev[v], last[c] = last.get(c, -1), v
-    return prev
+        members[c].append(v)
+    return members
+
+
+def _swap_groups(h: Hypergraph) -> tuple[list[int], list[list[int]], list[int]]:
+    """The twin class of each vertex, the members of each class, and the
+    swap group of each class, groups numbered in order of least vertex.
+
+    A class joins the first group whose first class it swaps with, or starts
+    a new one (see the module docstring).  A swap keeps every degree, so
+    only classes of one size, degree and multiset of degrees met in their
+    edges are tested.  A swap is checked on the edges that meet its two
+    classes only, as it fixes every other edge; an edge that meets a class
+    holds all of it.
+    """
+    cls = _twin_classes(h)
+    members = _class_members(cls)
+    meets: list[list[Edge]] = [[] for _ in members]  # the edges through each class
+    for e in h.edges:
+        for v in e:
+            if members[cls[v]][0] == v:
+                meets[cls[v]].append(e)
+    edges = h.edge_set()
+
+    def swaps(c: int, d: int) -> bool:
+        image = dict(zip(members[c], members[d]))
+        image.update(zip(members[d], members[c]))
+        return all(tuple(sorted(image.get(v, v) for v in e)) in edges
+                   for e in itertools.chain(meets[c], meets[d]))
+
+    deg = h.degrees()
+    group: list[int] = []
+    firsts: dict[tuple, list[int]] = {}  # signature -> first class of each group
+    count = 0
+    for c in range(len(members)):
+        mates = sorted(deg[v] for e in meets[c] for v in e)
+        same = firsts.setdefault((len(members[c]), len(meets[c]), *mates), [])
+        first = next((f for f in same if swaps(f, c)), None)
+        if first is None:
+            same.append(c)
+            group.append(count)
+            count += 1
+        else:
+            group.append(group[first])
+    return cls, members, group
 
 
 def _count_class_multisets(cls: list[int], k: int) -> int:
@@ -286,18 +356,30 @@ def _sample_missing(h: Hypergraph, k: int, count: int, seed: int) -> list[Edge]:
     The picks are positions among the missing k-sets.  Both the picks and
     the ranks of the existing edges are sorted, so one merge turns each
     pick into a rank: the missing k-set at position ``i`` has rank ``i + j``
-    once ``j`` existing edges rank at or below it.
+    once ``j`` existing edges rank at or below it.  A rank is unranked by one
+    bisection per position d: ``below[d][u]`` = C(n, k-d) - C(n-u, k-d)
+    counts the (k-d)-sets of [0, n) whose least vertex is below u, so the
+    k-sets that agree with a prefix ending before s and hold a vertex below
+    u at position d number ``below[d][u] - below[d][s]``.
     """
+    n = h.n
     total = count_missing_edges(h, k)
-    existing = sorted(_rank_kset(e, h.n) for e in h.edges if len(e) == k)
+    existing = sorted(_rank_kset(e, n) for e in h.edges if len(e) == k)
     rng = random.Random(seed)
     picks = sorted(rng.sample(range(total), min(count, total)))
+    below = [[comb(n, k - d) - comb(n - u, k - d) for u in range(n + 1)] for d in range(k)]
     out: list[Edge] = []
     j = 0
     for i in picks:
         while j < len(existing) and existing[j] <= i + j:
             j += 1
-        out.append(tuple(_unrank_kset(h.n, k, i + j)))
+        rank, s, t = i + j, 0, []
+        for row in below:
+            rank += row[s]
+            s = bisect_right(row, rank)
+            rank -= row[s - 1]
+            t.append(s - 1)
+        out.append(tuple(t))
     return out
 
 
@@ -332,7 +414,7 @@ def is_saturated(
         cls = _twin_classes(h)
         checked = _count_class_multisets(cls, k) - len(h.edges)
         reduction = count_missing_edges(h, k) / checked if checked else None
-        heads = [v for v, p in enumerate(_previous_twins(cls)) if p < 0]
+        heads = [m[0] for m in _class_members(cls)]
         found = _run_tasks(h, f, k, _scan_first, heads, jobs, orbits=True)
         violations_sat = sorted(found, key=lambda t: sorted(map(cls.__getitem__, t)))
     elif mode == "sampled":

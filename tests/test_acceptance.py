@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines; the heaviest case (criterion 4) takes 5 to 6 seconds on a 2-CPU VM,
-about 2 of them in the orbit pass.
+lines; on a 2-CPU VM every criterion finishes in under a second, criterion
+4 (S(360,3,4) in full and orbit mode) in about 0.3 s.
 """
 
 import itertools

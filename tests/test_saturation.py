@@ -141,6 +141,17 @@ class TestIsSaturated:
         assert a.mode == "sampled" and a.checked_missing == 40
         assert not a.saturated  # sampling never certifies
 
+    def test_sampler_matches_indexing_the_missing_sets_of_larger_hosts(self):
+        hosts = [(build_s(45, 3, 4)[0], 3), (build_s(22, 4, 5)[0], 4),
+                 (Hypergraph(31, build_s(21, 3, 4)[0].edges), 3)]
+        for h, k in hosts:
+            missing = list(missing_edges(h, k))
+            total = len(missing)
+            for seed in (0, 1, 2):
+                for count in (2000, total):
+                    picks = sorted(random.Random(seed).sample(range(total), count))
+                    assert saturation._sample_missing(h, k, count, seed) == [missing[i] for i in picks]
+
     def test_sample_larger_than_population(self):
         h, _ = build_c_k_4(3)
         report = is_saturated(h, K4, 3, sample=10_000, seed=0)
@@ -390,6 +401,95 @@ class TestTwinClasses:
                 assert (cls[a] == cls[b]) == (incident[a] == incident[b])
             firsts = [cls.index(c) for c in range(len(set(cls)))]
             assert firsts == sorted(firsts)  # numbered in order of least vertex
+
+
+def block_host(rng: random.Random, k: int) -> Hypergraph:
+    """A random k-uniform host of 1 to 3 kinds of block, each kind a size
+    below k joined to a few sets of hubs and laid down 2 to 5 times, plus up
+    to 3 hub edges and 2 isolated vertices.  With probability 0.3 a later
+    copy moves its kind to other hubs, so some classes of one size and
+    degree do not swap.  Labels are shuffled half the time."""
+    hubs = rng.randint(k - 1, 5)
+    n = hubs
+    edges = set()
+    for _ in range(rng.randint(1, 3)):
+        size = rng.randint(1, k - 1)
+        joins = [rng.sample(range(hubs), k - size) for _ in range(rng.randint(1, 3))]
+        for copy in range(rng.randint(2, 5)):
+            block = list(range(n, n + size))
+            n += size
+            if copy and rng.random() < 0.3:
+                joins = [rng.sample(range(hubs), k - size) for _ in joins]
+            edges.update(tuple(sorted(block + hub_set)) for hub_set in joins)
+    if hubs >= k:
+        edges.update(tuple(sorted(rng.sample(range(hubs), k))) for _ in range(rng.randint(0, 3)))
+    n += rng.randint(0, 2)
+    labels = list(range(n))
+    if rng.random() < 0.5:
+        rng.shuffle(labels)
+    return Hypergraph(n, tuple(sorted(tuple(sorted(labels[v] for v in e)) for e in edges)))
+
+
+class TestSwapGroups:
+    """The pair memo keys a pair by the swap groups of its ends' twin
+    classes, and by whether both ends lie in one class."""
+
+    def test_groups_are_the_swaps_that_keep_the_edge_set(self):
+        rng = random.Random(79)
+        hosts = [h for h, _, _ in twin_corpus()]
+        hosts += [block_host(rng, k) for k in (2, 3, 4) for _ in range(40)]
+        merged = refused = 0
+        for h in hosts:
+            cls, members, group = saturation._swap_groups(h)
+            assert cls == saturation._twin_classes(h)
+            assert members == [[v for v in range(h.n) if cls[v] == c] for c in range(len(members))]
+            firsts = [group.index(g) for g in range(len(set(group)))]
+            assert firsts == sorted(firsts)  # numbered in order of least vertex
+            edges, deg = h.edge_set(), h.degrees()
+            for c, d in itertools.combinations(range(len(members)), 2):
+                if len(members[c]) != len(members[d]):
+                    assert group[c] != group[d]
+                    continue
+                # map each class onto the other in increasing order, checked on every edge
+                image = dict(zip(members[c], members[d]))
+                image.update(zip(members[d], members[c]))
+                swaps = {tuple(sorted(image.get(v, v) for v in e)) for e in h.edges} == edges
+                assert (group[c] == group[d]) == swaps
+                merged += swaps
+                refused += not swaps and deg[members[c][0]] == deg[members[d][0]]
+        assert merged > 500 and refused > 200
+
+    def test_classes_of_one_size_and_degree_that_do_not_swap(self):
+        # {4, 5} and {6, 7} are twin classes of size 2 and degree 2 whose
+        # edges meet hubs of degree 2 only, but swapping them fixes the hubs
+        # and so maps (0, 4, 5) to (0, 6, 7), which is not an edge
+        h = Hypergraph(10, ((0, 4, 5), (1, 4, 5), (2, 6, 7), (3, 6, 7), (0, 1, 8), (2, 3, 9)))
+        cls, members, group = saturation._swap_groups(h)
+        a, b = cls[4], cls[6]
+        assert members[a] == [4, 5] and members[b] == [6, 7]
+        assert h.degrees()[4] == h.degrees()[6] == 2
+        assert group[a] != group[b]
+        assert group[cls[0]] == group[cls[1]] != group[cls[2]]  # 0 and 1 do swap
+        reps = orbit_representatives(h, 3)
+        for f in (K3, K4, make_cycle(4), make_cycle(5)):
+            expected = saturation_violations(h, f, 3)
+            assert is_saturated(h, f, 3).violations_sat == expected
+            bad = set(expected)
+            assert is_saturated(h, f, 3, orbits=True).violations_sat == [t for t in reps if t in bad]
+        present = h.edge_set()
+        for ell in (3, 4):
+            expected = [p for p in itertools.combinations(range(h.n), 2)
+                        if p not in present and not engine.is_ell_good(h, *p, ell)]
+            assert all_pairs_good(h, ell).failures == expected
+
+    def test_probes_bounded_by_swap_group_pairs(self, probes):
+        h = build_s(360, 3, 4)[0]
+        assert is_saturated(h, K4, 3).saturated
+        assert 0 < probes["probes"] <= 50
+        probes.clear()
+        report = all_pairs_good(h, 4)
+        assert report.checked == count_missing_edges(h, 2)
+        assert 0 < probes["probes"] <= 50
 
 
 class TestLemmaReports:
