@@ -3,9 +3,8 @@
 A hypergraph contains a Berge copy of a pattern graph F when some injective
 placement of V(F) (the core vertices) admits an injective assignment of a
 distinct containing hyperedge to every pattern edge.  One backtracking search
-places the pattern vertices position by position -- as an unordered core set
-when F is complete, as an ordered injection otherwise -- and keeps a
-bipartite matching between the already-placed pattern edges and hyperedges
+places the pattern vertices position by position and keeps a bipartite
+matching between the already-placed pattern edges and hyperedges
 incrementally; a partial placement is abandoned the moment that matching
 stops being perfect.
 
@@ -14,6 +13,31 @@ candidates in descending hyperedge-degree order (ids break ties), and a host
 vertex is a candidate for a pattern vertex only if its hyperedge degree is at
 least the pattern degree.  All iteration orders are fixed, so the witness
 returned for a given input never changes.
+
+Symmetric placements are searched once, by lex-leader bounds (Crawford,
+Ginsberg, Luks and Roy, "Symmetry-breaking predicates for search problems",
+KR 1996).  Write a placement as the sequence s of host positions of the
+pattern positions.  The search returns the lexicographically least valid s,
+since every prune below cuts only subtrees without a valid placement.  An
+automorphism of F turns a valid placement into a valid one: it keeps the
+pattern edges, hence the matching, and the pattern degrees, hence the degree
+prefixes, and it keeps the core image, hence the required and forbidden
+cores and the required edge.  So the least valid s is no greater than any
+relabelling of itself.  If an automorphism fixes the vertices at positions
+0..j-1 and maps the vertex at j onto the vertex at i > j, relabelling s by
+it leaves s[0..j-1] and puts s[i] at j, hence s[j] < s[i].  Position i
+therefore starts its host loop after every such j (``_Pattern.less`` keeps
+the latest, built from automorphisms verified on the edge set), and leaves
+room for the later positions forced after it, whose pattern degrees, hence
+limits, equal its own; when every later position is forced after it, a
+required vertex passed over at i can no longer be placed.  The least valid
+s meets all of these bounds, and the matcher's state
+at a node depends only on the node's path, so the witness, its edge
+assignment included, is the one the unbounded search finds.  With every
+pair found, one placement of each class related by automorphisms meets the
+bounds (one in ten for C5, in 12 for K_{2,3}); a complete pattern's core
+set becomes unordered.  Preparing a pattern costs more than most searches,
+so each distinct pattern is prepared once (``_prepared``).
 
 A search with a required edge gives up on a partial placement once no
 pattern edge can still end with both endpoints inside that edge: an edge
@@ -37,7 +61,9 @@ rejected by an empty supply before that has changed nothing to restore.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -218,12 +244,170 @@ class _Index:
         return cached
 
 
+# ---------------------------------------------------------------------------
+# pattern symmetry
+
+_AUTOMORPHISM_BUDGET = 100  # individualizations per pattern, past transpositions
+
+# An ordered partition of the pattern vertices is a triple (part, cell, end):
+# ``part`` lists the vertices cell by cell, ``cell[v]`` is the position where
+# the cell of v starts and ``end[s]`` where the cell starting at s ends.
+# Cells are named by position and split in an order that depends only on
+# positions and neighbour counts, so the same steps applied to isomorphic
+# starting partitions give partitions that correspond cell by cell.
+
+
+def _refine(adj, part, cell, end, queue) -> None:
+    """Refine an ordered partition in place to its coarsest equitable
+    refinement, in which the vertices of a cell have equally many neighbours
+    in every cell.  ``queue`` holds the starts of the cells to split by;
+    the partition must already be equitable with respect to the others."""
+    queue = deque(queue)
+    waiting = set(queue)
+    while queue:
+        w = queue.popleft()
+        waiting.discard(w)
+        count: dict[int, int] = {}
+        for x in part[w:end[w]]:
+            for v in adj[x]:
+                count[v] = count.get(v, 0) + 1
+        for s in sorted({cell[v] for v in count}):
+            e = end[s]
+            members = sorted(part[s:e], key=lambda v: count.get(v, 0))
+            keys = [count.get(v, 0) for v in members]
+            if keys[0] == keys[-1]:
+                continue
+            part[s:e] = members
+            starts = [s] + [p for p in range(s + 1, e) if keys[p - s] != keys[p - s - 1]]
+            bounds = starts + [e]
+            for a, b in zip(starts, bounds[1:]):
+                end[a] = b
+                for v in part[a:b]:
+                    cell[v] = a
+            # a queued cell is split by its pieces anyway; otherwise all but
+            # one largest piece suffice (Hopcroft)
+            if s not in waiting:
+                sizes = [b - a for a, b in zip(starts, bounds[1:])]
+                del starts[sizes.index(max(sizes))]
+            new = [a for a in starts if a not in waiting]
+            queue.extend(new)
+            waiting.update(new)
+
+
+def _individualize(adj, partition, x):
+    """A refined copy of ``partition`` in which x is alone in its cell, at
+    the position where that cell started."""
+    part, cell, end = (list(a) for a in partition)
+    s = cell[x]
+    e = end[s]
+    if e - s > 1:
+        i = part.index(x, s, e)
+        part[s], part[i] = x, part[s]
+        end[s], end[s + 1] = s + 1, e
+        for v in part[s + 1:e]:
+            cell[v] = s + 1
+        _refine(adj, part, cell, end, [s])
+    return part, cell, end
+
+
+def _automorphism(f: Graph, adj, left, right, y: int, budget: list[int]) -> list[int] | None:
+    """An automorphism of ``f`` carrying each cell of the equitable partition
+    ``left`` onto the cell at the same position of ``right`` with y
+    individualized, or None when none is found within ``budget[0]`` more
+    individualizations.
+
+    Both sides are refined alike, so where they differ in shape no such
+    automorphism exists.  Otherwise the first non-singleton cell is split by
+    one vertex on the left and, in turn, by each vertex of the matching cell
+    on the right.  A discrete pair of partitions gives one mapping, which is
+    returned only if it maps every edge to an edge.
+    """
+    budget[0] -= 1
+    if budget[0] < 0:
+        return None
+    lpart, lcell, lend = left
+    rpart, rcell, rend = right = _individualize(adj, right, y)
+    starts = sorted(set(lcell))
+    if starts != sorted(set(rcell)) or any(lend[s] != rend[s] for s in starts):
+        return None
+    s = next((s for s in starts if lend[s] - s > 1), None)
+    if s is None:
+        g = [0] * f.n
+        for a, b in zip(lpart, rpart):
+            g[a] = b
+        edges = set(f.edges)
+        if all(((g[u], g[v]) if g[u] < g[v] else (g[v], g[u])) in edges for u, v in f.edges):
+            return g
+        return None
+    budget[0] -= 1
+    split = _individualize(adj, left, lpart[s])
+    for b in rpart[s:rend[s]]:
+        g = _automorphism(f, adj, split, right, b, budget)
+        if g is not None or budget[0] < 0:
+            return g
+    return None
+
+
+def _lex_leader_bounds(f: Graph, order: list[int]) -> list[list[int]]:
+    """For each position i of ``order``, the earlier positions j such that a
+    verified automorphism of ``f`` fixes the vertices at positions 0..j-1
+    and maps the vertex at j onto the vertex at i.
+
+    Level j refines the vertex set with the vertices at positions 0..j-1
+    individualized; an automorphism fixing them keeps each cell, so
+    only the cell of the vertex x at j is tried, and once the partition is
+    discrete no later level can hold a pair.  A candidate y is proved by
+    the transposition of x and y (twins), by the orbit of x under the
+    automorphisms found so far at this level, or by an individualization
+    search within a budget shared by the whole pattern.  A pair left out
+    only weakens the search's pruning.
+    """
+    nf = f.n
+    adj = f.adjacency()
+    pos = {x: i for i, x in enumerate(order)}
+    less: list[list[int]] = [[] for _ in range(nf)]
+    partition = (list(range(nf)), [0] * nf, [nf] * nf)
+    _refine(adj, *partition, [0])
+    budget = [_AUTOMORPHISM_BUDGET]
+    for j, x in enumerate(order):
+        part, cell, end = partition
+        if len(set(cell)) == nf:
+            break
+        s = cell[x]
+        split = _individualize(adj, partition, x)
+        orbit = {x}
+        found: list[list[int]] = []  # automorphisms fixing positions 0..j-1
+        # x comes first: the vertices at earlier positions are singletons
+        for y in sorted(part[s:end[s]], key=pos.__getitem__)[1:]:
+            if y not in orbit:
+                if adj[x] - {y} == adj[y] - {x}:  # the transposition of x and y
+                    orbit.add(y)
+                elif budget[0] > 0:
+                    g = _automorphism(f, adj, split, partition, y, budget)
+                    if g is not None:
+                        found.append(g)
+                        # a transposition moves only x and an orbit member,
+                        # so the orbit is closed under the searched ones alone
+                        frontier = list(orbit)
+                        while frontier:
+                            v = frontier.pop()
+                            for h in found:
+                                if h[v] not in orbit:
+                                    orbit.add(h[v])
+                                    frontier.append(h[v])
+            if y in orbit:
+                less[pos[y]].append(j)
+        partition = split
+    return less
+
+
 class _Pattern:
-    """Pattern graph preprocessed for the search."""
+    """Pattern graph preprocessed for the search.  Instances are shared
+    through ``_prepared`` and must not be modified."""
 
     __slots__ = (
-        "nf", "edges", "deg", "low", "unordered", "order", "back_edges", "demands",
-        "last_nbr", "last_pair",
+        "nf", "edges", "deg", "low", "unordered", "order", "less", "above",
+        "back_edges", "demands", "last_nbr", "last_pair",
     )
 
     def __init__(self, f: Graph) -> None:
@@ -231,10 +415,23 @@ class _Pattern:
         self.edges = list(f.edges)
         self.deg = f.degrees()
         self.low = min(self.deg, default=0)
-        # the vertices of a complete pattern are interchangeable, so its
-        # placements are searched as unordered core sets
+        # a complete pattern's witness numbers its core set in host order
         self.unordered = f.n >= 2 and len(f.edges) == f.n * (f.n - 1) // 2
         self.order = sorted(range(f.n), key=lambda x: (-self.deg[x], x))
+        # position i takes a host position after that of position less[i]
+        # (-1: none), the latest of its lex-leader bounds.  It implies the
+        # others once orbits are complete: if j < j' both bound i, then the
+        # vertices at i, j and j' share one orbit under the automorphisms
+        # fixing positions 0..j-1, so j bounds j'.  Where the budget left
+        # that unproved, the others are dropped, which only weakens the
+        # pruning.  above[i] counts the later positions forced after i
+        # through chains of less.
+        self.less = [max(bound, default=-1) for bound in _lex_leader_bounds(f, self.order)]
+        below = [0] * f.n  # bit j set: position j is forced before position i
+        for i, j in enumerate(self.less):
+            if j >= 0:
+                below[i] = below[j] | 1 << j
+        self.above = [sum(below[k] >> i & 1 for k in range(i + 1, f.n)) for i in range(f.n)]
         pos = {x: i for i, x in enumerate(self.order)}
         # each pattern edge is a demand of its later-placed endpoint: position
         # i is joined to the earlier positions back_edges[i], and the matcher's
@@ -252,6 +449,14 @@ class _Pattern:
             self.last_nbr[i] = max(self.last_nbr[i], j)
             self.last_nbr[j] = max(self.last_nbr[j], i)
         self.last_pair = max((i for _, i, _ in ends), default=-1)
+
+
+@functools.lru_cache(maxsize=128)
+def _prepared(f: Graph) -> _Pattern:
+    """The search data of ``f``, built once per distinct pattern.  A
+    ``Graph`` is frozen with its edges sorted, so equal patterns are equal
+    keys; the symmetry step costs more than many searches."""
+    return _Pattern(f)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +517,8 @@ def _search(
             p += 1
         limit.append(p)
 
-    unordered = pattern.unordered
+    less = pattern.less
+    above = pattern.above
     back = pattern.back_edges
     pair_edges_get = index.pair_edges.get
     # give up once no pattern edge can still land inside the required edge
@@ -322,6 +528,9 @@ def _search(
     rsize = len(rset)
     matcher = _Matcher()
     image = [-1] * nf
+    # the host position of each placed position; the extra last slot, read
+    # as placed_at[-1] for a position without a bound, stays -1
+    placed_at = [-1] * (nf + 1)
     used: set[int] = set()
     at = {w: p for p, w in enumerate(host)} if required_core else {}
 
@@ -346,7 +555,7 @@ def _search(
 
     # reach is nf once a placed pattern edge lies inside the required edge,
     # else the latest position joined to a placed position inside it
-    def rec(i: int, start: int, in_req_edge: int, req_left: int, reach: int):
+    def rec(i: int, in_req_edge: int, req_left: int, reach: int):
         if i == nf:
             if req_left or (req_eid >= 0 and not matcher.force_use(req_eid)):
                 return None
@@ -361,16 +570,17 @@ def _search(
                 free = rsize - in_req_edge
                 if not ((free and reach >= i) or (free >= 2 and i <= last_pair)):
                     return None
-        # an unordered core set leaves room for the positions after i
-        stop = limit[i] - (nf - 1 - i) if unordered else limit[i]
-        for p in range(start, stop):
+        # lex-leader: start after the host position of less[i], and leave
+        # room for the later positions forced after i, which share its limit
+        back_i = back[i]
+        for p in range(placed_at[less[i]] + 1, limit[i] - above[i]):
             w = host[p]
             if w in used:
                 continue
             # snapshot only before the first push: a candidate turned down by
             # an empty supply has changed nothing
             snap = None
-            for j in back[i]:
+            for j in back_i:
                 a = image[j]
                 supply = pair_edges_get((a, w) if a < w else (w, a), ())
                 if a in vset and w in vset:
@@ -383,14 +593,14 @@ def _search(
                     break
             else:
                 image[i] = w
+                placed_at[i] = p
                 used.add(w)
                 next_reach = reach
                 if prune and w in rset:
-                    inside = any(image[j] in rset for j in back[i])
+                    inside = any(image[j] in rset for j in back_i)
                     next_reach = max(reach, nf if inside else last_nbr[i])
                 res = rec(
                     i + 1,
-                    p + 1 if unordered else 0,
                     in_req_edge + (w in rset),
                     req_left - (w in required_core),
                     next_reach,
@@ -400,11 +610,11 @@ def _search(
                 used.discard(w)
             if snap is not None:
                 matcher.restore(snap)
-            if unordered and w in required_core:
-                return None  # a required vertex cannot be skipped
+            if w in required_core and above[i] == nf - 1 - i:
+                return None  # every later position lies after p: w is skipped for good
         return None
 
-    return rec(0, 0, 0, len(required_core), -1)
+    return rec(0, 0, len(required_core), -1)
 
 
 def _witness(index, pattern, image, assigned, virtual_edge) -> BergeWitness:
@@ -447,10 +657,9 @@ def find_berge_witness(
     index = _Index(h)
     if required_edge is not None and required_edge not in index.id_of:
         return None
-    pattern = _Pattern(f)
     return _search(
         index,
-        pattern,
+        _prepared(f),
         required_core=c.required_core,
         forbidden_core=c.forbidden_core,
         required_edge=required_edge,
@@ -468,7 +677,7 @@ def creates_new_berge(h: Hypergraph, e, f: Graph) -> bool:
     index = _Index(h)
     if t in index.id_of:
         raise ValueError(f"edge {set(t)} already present")
-    return _search(index, _Pattern(f), required_edge=t) is not None
+    return _search(index, _prepared(f), required_edge=t) is not None
 
 
 def is_ell_good(h: Hypergraph, u: int, v: int, ell: int) -> bool:
@@ -496,7 +705,7 @@ def all_subsets_are_cores(h: Hypergraph, m: int) -> CoreCoverageReport:
     if m > h.n:
         raise ValueError(f"subset size {m} exceeds vertex count {h.n}")
     index = _Index(h)
-    pattern = _Pattern(make_clique(m))
+    pattern = _prepared(make_clique(m))
     report = CoreCoverageReport(subset_size=m, checked=0)
     for subset in itertools.combinations(range(h.n), m):
         report.checked += 1

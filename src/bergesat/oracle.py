@@ -93,7 +93,7 @@ def greedy_saturate(h: Hypergraph, f: Graph, k: int, order=None) -> Hypergraph:
     else:
         candidates = (_as_edge(e, h.n) for e in order)
     index = engine._Index(h)
-    pattern = engine._Pattern(f)
+    pattern = engine._prepared(f)
     # the host grows, so twins may part: each vertex keys only itself
     key = [(v, v) for v in range(h.n)]
     good: set[tuple[int, int, bool]] = set()  # stays good as edges are added

@@ -114,7 +114,7 @@ class PairGoodnessReport:
 def all_pairs_good(h: Hypergraph, ell: int) -> PairGoodnessReport:
     """Check every vertex pair not already present as a 2-edge: does adding
     it create a new Berge clique on ``ell`` vertices?"""
-    failures = _run_tasks(h, make_clique(ell), 2, _scan_first, range(h.n), 1)
+    failures = _run_tasks(h, make_clique(ell), 2, _swap_groups(h), _scan_first, range(h.n), 1)
     checked = count_missing_edges(h, 2)
     return PairGoodnessReport(checked=checked, good=checked - len(failures),
                               failures=failures)
@@ -142,11 +142,12 @@ def _rank_kset(t: Edge, n: int) -> int:
 _work = threading.local()  # one scan's state per thread, so concurrent calls stay apart
 
 
-def _init_worker(h: Hypergraph, f: Graph, k: int, orbits: bool) -> None:
+def _init_worker(h: Hypergraph, f: Graph, k: int, groups, orbits: bool) -> None:
+    """Set up one scan's state; ``groups`` is ``_swap_groups(h)``."""
     _work.index = engine._Index(h)
-    _work.pattern = engine._Pattern(f)
+    _work.pattern = engine._prepared(f)
     _work.k = k
-    cls, members, group = _swap_groups(h)
+    cls, members, group = groups
     class_key = [(g, c) for c, g in enumerate(group)]  # the members of a class share one tuple
     _work.key = [class_key[c] for c in cls]
     _work.members = members
@@ -254,15 +255,17 @@ def _scan_first(u: int) -> list[Edge]:
     return out
 
 
-def _run_tasks(h, f, k, worker, tasks, jobs, orbits=False) -> list[Edge]:
-    """Run ``worker`` over ``tasks`` and merge the violations in task order."""
+def _run_tasks(h, f, k, groups, worker, tasks, jobs, orbits=False) -> list[Edge]:
+    """Run ``worker`` over ``tasks`` and merge the violations in task order;
+    ``groups`` is ``_swap_groups(h)``, computed once for every worker."""
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    args = (h, f, k, groups, orbits)
     if workers <= 1:
-        _init_worker(h, f, k, orbits)
+        _init_worker(*args)
         results = [worker(t) for t in tasks]
     else:
         ctx = multiprocessing.get_context(None)  # the platform's default method
-        with ctx.Pool(workers, initializer=_init_worker, initargs=(h, f, k, orbits)) as pool:
+        with ctx.Pool(workers, initializer=_init_worker, initargs=args) as pool:
             results = pool.map(worker, tasks)
     return [t for v in results for t in v]
 
@@ -410,21 +413,22 @@ def is_saturated(
     free, witness = is_berge_free(h, f)
     mode = "orbits" if orbits else "full" if sample is None else "sampled"
     reduction = None
+    groups = _swap_groups(h)
     if mode == "orbits":
-        cls = _twin_classes(h)
+        cls, members, _ = groups
         checked = _count_class_multisets(cls, k) - len(h.edges)
         reduction = count_missing_edges(h, k) / checked if checked else None
-        heads = [m[0] for m in _class_members(cls)]
-        found = _run_tasks(h, f, k, _scan_first, heads, jobs, orbits=True)
+        heads = [m[0] for m in members]
+        found = _run_tasks(h, f, k, groups, _scan_first, heads, jobs, orbits=True)
         violations_sat = sorted(found, key=lambda t: sorted(map(cls.__getitem__, t)))
     elif mode == "sampled":
         ksets = _sample_missing(h, k, sample, seed)
         checked = len(ksets)
         tasks = [ksets[i: i + _LIST_CHUNK] for i in range(0, len(ksets), _LIST_CHUNK)]
-        violations_sat = _run_tasks(h, f, k, _scan_list, tasks, jobs)
+        violations_sat = _run_tasks(h, f, k, groups, _scan_list, tasks, jobs)
     else:
         checked = count_missing_edges(h, k)
-        violations_sat = _run_tasks(h, f, k, _scan_first, range(h.n), jobs)
+        violations_sat = _run_tasks(h, f, k, groups, _scan_first, range(h.n), jobs)
 
     return SaturationReport(
         is_free=free,

@@ -1,10 +1,11 @@
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 
-from bergesat import engine
+from bergesat import engine, saturation
 from bergesat.core import Graph, Hypergraph, add_edge, dominates, missing_edges
 from bergesat.constructions import build_c_k_4, build_c_k_ell, build_s
 from bergesat.engine import (
@@ -18,7 +19,7 @@ from bergesat.engine import (
     validate_witness,
 )
 from bergesat.invariants import make_clique, make_cycle, make_path, make_star
-from bergesat.oracle import berge_oracle
+from bergesat.oracle import berge_oracle, greedy_saturate
 
 from conftest import (
     hypergraph_with_dominated_pair,
@@ -362,7 +363,8 @@ class TestRequiredCorePrune:
         assert verdicts[True] > 20 and verdicts[False] > 20
 
     def test_look_ahead_cuts_required_pair_queries(self, monkeypatch):
-        # these 42 queries make 21,449 pushes, and 53,236 without the look-ahead
+        # these 42 queries make 4,940 pushes; 21,449 without the lex-leader
+        # bounds, and 53,236 without the look-ahead as well
         h = build_s(20, 3, 4)[0]
         pushes = _count(monkeypatch, "push")
         found = 0
@@ -371,7 +373,165 @@ class TestRequiredCorePrune:
                 c = SearchConstraints(required_core=frozenset(pair))
                 found += find_berge_witness(f, h, c) is not None
         assert found == 36
-        assert pushes[0] < 30000
+        assert pushes[0] < 8000
+
+
+def _automorphisms(f):
+    """Every automorphism of ``f``, as a tuple of images: each vertex in
+    turn takes every image that keeps adjacency and non-adjacency with the
+    vertices mapped before it."""
+    adj = f.adjacency()
+    found = []
+
+    def extend(g):
+        v = len(g)
+        if v == f.n:
+            found.append(tuple(g))
+            return
+        for w in range(f.n):
+            if w not in g and all((u in adj[v]) == (g[u] in adj[w]) for u in range(v)):
+                extend(g + [w])
+
+    extend([])
+    return found
+
+
+def _brute_force_bounds(f, order):
+    """less[i] before reduction: the earlier positions j whose vertex some
+    automorphism fixing the vertices at positions 0..j-1 maps onto the
+    vertex at position i."""
+    auts = _automorphisms(f)
+    return [[j for j in range(i)
+             if any(g[order[j]] == order[i] and all(g[order[m]] == order[m] for m in range(j))
+                    for g in auts)]
+            for i in range(f.n)]
+
+
+def _all_graphs(n):
+    pairs = list(itertools.combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        yield Graph(n, tuple(p for b, p in enumerate(pairs) if mask >> b & 1))
+
+
+K33 = Graph(6, tuple((a, b) for a in range(3) for b in range(3, 6)))
+# a triangle with tails of lengths 2 and 1: only the identity maps it to itself
+ASYMMETRIC = Graph(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 4)))
+# 2-regular, so colour refinement keeps one cell, yet no automorphism maps
+# the triangle onto the square
+C3_C4 = Graph(7, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)))
+# the Frucht graph: 3-regular with only the identity automorphism, so each
+# candidate mapping needs its edge check
+FRUCHT = Graph(12, tuple({tuple(sorted((i, (i + d) % 12)))
+                          for i, d in enumerate((-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2))}
+                         | {(i, i + 1) for i in range(11)} | {(0, 11)}))
+SYMMETRIC_SHAPES = [
+    make_cycle(4), make_cycle(5), make_cycle(6), K23, K33, make_path(5), k4_minus_edge(),
+    make_star(4), Graph(4, ((0, 1), (2, 3))), Graph(3), ASYMMETRIC, C3_C4,
+]
+
+
+class TestLexLeaderBounds:
+    """``_lex_leader_bounds`` returns only pairs proved by an automorphism,
+    and on small patterns every pair there is; ``_Pattern.less`` keeps the
+    latest bound of each position, which implies the others."""
+
+    @staticmethod
+    def _check(f):
+        pattern = engine._Pattern(f)
+        bounds = _brute_force_bounds(f, pattern.order)
+        assert engine._lex_leader_bounds(f, pattern.order) == bounds, f.edges
+        # the closure below each position, from all the pairs
+        below = [set() for _ in range(f.n)]
+        for i, bound in enumerate(bounds):
+            for j in bound:
+                below[i] |= below[j] | {j}
+        for i, bound in enumerate(bounds):
+            implied = set().union(*(below[j] for j in bound))
+            assert [j for j in bound if j not in implied] == bound[-1:], f.edges
+            assert pattern.less[i] == max(bound, default=-1)
+            assert pattern.above[i] == sum(i in below[k] for k in range(i + 1, f.n))
+
+    @pytest.mark.parametrize("f", SYMMETRIC_SHAPES + [K4, make_clique(5), FRUCHT])
+    def test_named_patterns_match_brute_force(self, f):
+        self._check(f)
+
+    def test_every_graph_on_five_vertices_matches_brute_force(self):
+        for f in _all_graphs(5):
+            self._check(f)
+
+    def test_shapes_of_the_bounds(self):
+        assert len(_automorphisms(ASYMMETRIC)) == len(_automorphisms(FRUCHT)) == 1
+        assert set(FRUCHT.degrees()) == {3}
+        assert engine._Pattern(ASYMMETRIC).less == [-1] * 6
+        # a clique's core sets are unordered: each position follows the last
+        assert engine._Pattern(make_clique(5)).less == [-1, 0, 1, 2, 3]
+        assert engine._Pattern(Graph(3)).less == [-1, 0, 1]
+        # C5: the vertex at position 0 maps anywhere; then one reflection is left
+        assert engine._Pattern(make_cycle(5)).less == [-1, 0, 0, 0, 1]
+
+    def test_search_without_bounds_gives_identical_witnesses(self, monkeypatch):
+        # the lex-leader bounds keep the least valid placement, so every
+        # witness and verdict matches a search with the bounds left out
+        rng = random.Random(1301)
+        patterns = CORPUS_PATTERNS + SYMMETRIC_SHAPES
+        pruned = [engine._Pattern(f) for f in patterns]
+        monkeypatch.setattr(engine, "_lex_leader_bounds", lambda f, order: [[] for _ in order])
+        plain = [engine._Pattern(f) for f in patterns]
+        assert all(p.less == [-1] * p.nf and not any(p.above) for p in plain)
+        verdicts = {True: 0, False: 0}
+        for _ in range(90):
+            h = random_hypergraph(rng, max_vertices=9, max_edges=10)
+            index = engine._Index(h)
+            present = h.edge_set()
+            for f, a, b in zip(patterns, pruned, plain):
+                req = frozenset(rng.sample(range(h.n), rng.randint(0, 2)))
+                forb = frozenset(rng.sample(range(h.n), rng.randint(0, 2))) - req
+                edges = [rng.choice(h.edges)] if h.edges else []
+                t = tuple(sorted(rng.sample(range(h.n), rng.randint(2, min(4, h.n)))))
+                if t not in present:
+                    edges.append(t)  # a virtual probe
+                for edge in [None] + edges:
+                    for r, fb in ((req, frozenset()), (frozenset(), forb), (req, forb)):
+                        wa = engine._search(index, a, r, fb, edge)
+                        wb = engine._search(index, b, r, fb, edge)
+                        assert (wa and wa.serialize()) == (wb and wb.serialize()), (
+                            h, f.edges, r, fb, edge)
+                        verdicts[wa is not None] += 1
+        assert verdicts[True] > 2000 and verdicts[False] > 2000
+
+    @pytest.mark.parametrize("f", [make_path(400), Graph(400)])
+    def test_large_pattern_prepares_in_bounded_time(self, f):
+        host = Hypergraph(400, tuple((i, i + 1) for i in range(399)))
+        engine._prepared.cache_clear()
+        start = time.perf_counter()
+        w = find_berge_witness(f, host)
+        assert time.perf_counter() - start < 2.0
+        validate_witness(f, host, w)
+
+    def test_each_pattern_is_prepared_once(self, monkeypatch):
+        built = []
+
+        class Counted(engine._Pattern):
+            __slots__ = ()
+
+            def __init__(self, f):
+                built.append(f)
+                super().__init__(f)
+
+        monkeypatch.setattr(engine, "_Pattern", Counted)
+        engine._prepared.cache_clear()
+        c5 = make_cycle(5)
+        h = build_s(20, 3, 4)[0]
+        tight = build_c_k_4(3)[0]
+        for _ in range(2):
+            find_berge_witness(c5, h)
+            creates_new_berge(h, next(iter(missing_edges(h, 3))), c5)
+            all_subsets_are_cores(tight, 3)
+            saturation.is_saturated(tight, c5, 3)
+            saturation.is_saturated(tight, c5, 3, orbits=True)
+            greedy_saturate(Hypergraph(7, ()), c5, 3)
+        assert built == [c5, K3]
+        engine._prepared.cache_clear()
 
 
 class TestIndexGrowth:
