@@ -28,12 +28,17 @@ classes fall into swap groups, and any permutation of the classes of a
 group, with twins permuted freely inside each class, is an automorphism.
 Two pairs whose ends lie in the same two groups, both in one class or both
 in two classes, are thus in one orbit: one memo entry per key decides all
-of its pairs.  Full mode extends a lexicographic prefix only while none of
-its pairs is known good, so it never walks the k-sets through a good pair.
-Orbit mode runs the same scan over the least member of each class multiset,
-whose members are automorphic: a prefix steps only to the head of a class
-or to the next twin of one of its vertices.  Violations come in multiset
-order.  Greedy completion grows its host, which can part twins, so it keys
+of its pairs.  The members of one multiset of twin classes differ by a
+permutation of twins, so they are decided alike, and an edge, which holds
+each class it meets, is the only member of its multiset.  Full mode, orbit
+mode and ``all_pairs_good`` run one scan over class multisets: a prefix
+steps to the next twin of its last vertex or to the head of a later class,
+and is extended only while none of its pairs is known good.  Each multiset
+is decided once, on its least member.  Orbit mode reports the violating
+least members in multiset order; full mode lists every k-set of their
+multisets, sorted, and refuses with ``ValueError`` a list longer than
+``MAX_VIOLATIONS``, whose length is known before it is built.  Greedy
+completion grows its host, which can part twins, so it keys
 pairs by vertex; adding edges keeps every copy, so a good pair stays good,
 while a bad mark is dropped as soon as its k-set is added.
 
@@ -56,11 +61,11 @@ import os
 import random
 import threading
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, prod
 
 from . import engine
 from .core import Graph, Hypergraph, count_missing_edges, is_k_uniform
@@ -70,6 +75,7 @@ from .invariants import make_clique
 Edge = tuple[int, ...]
 
 _LIST_CHUNK = 20_000  # sampled k-sets per work unit
+MAX_VIOLATIONS = 1_000_000  # k-sets a report may list; each is held in memory and printed
 
 
 @dataclass
@@ -113,8 +119,11 @@ class PairGoodnessReport:
 
 def all_pairs_good(h: Hypergraph, ell: int) -> PairGoodnessReport:
     """Check every vertex pair not already present as a 2-edge: does adding
-    it create a new Berge clique on ``ell`` vertices?"""
-    failures = _run_tasks(h, make_clique(ell), 2, _swap_groups(h), _scan_first, range(h.n), 1)
+    it create a new Berge clique on ``ell`` vertices?  Raises ``ValueError``
+    rather than list more than ``MAX_VIOLATIONS`` failures."""
+    groups = _swap_groups(h)
+    failures = _expand(_run_tasks(h, make_clique(ell), 2, groups, _scan_first,
+                                  range(len(groups[1])), 1), groups)
     checked = count_missing_edges(h, 2)
     return PairGoodnessReport(checked=checked, good=checked - len(failures),
                               failures=failures)
@@ -142,7 +151,7 @@ def _rank_kset(t: Edge, n: int) -> int:
 _work = threading.local()  # one scan's state per thread, so concurrent calls stay apart
 
 
-def _init_worker(h: Hypergraph, f: Graph, k: int, groups, orbits: bool) -> None:
+def _init_worker(h: Hypergraph, f: Graph, k: int, groups) -> None:
     """Set up one scan's state; ``groups`` is ``_swap_groups(h)``."""
     _work.index = engine._Index(h)
     _work.pattern = engine._prepared(f)
@@ -151,8 +160,6 @@ def _init_worker(h: Hypergraph, f: Graph, k: int, groups, orbits: bool) -> None:
     class_key = [(g, c) for c, g in enumerate(group)]  # the members of a class share one tuple
     _work.key = [class_key[c] for c in cls]
     _work.members = members
-    # orbit mode walks least members only: the least vertex of each class, in class order
-    _work.heads = [m[0] for m in members] if orbits else None
     _work.good = set()  # keys of pairs known good
     _work.bad = set()  # keys of pairs known bad
 
@@ -197,45 +204,33 @@ def _scan_list(ksets: Iterable[Edge]) -> list[Edge]:
     return [t for t in ksets if not _creates_new(index, pattern, key, good, bad, t)]
 
 
-def _scan_first(u: int) -> list[Edge]:
-    """The missing k-sets whose least vertex is ``u`` and that create no new
-    Berge copy, in lexicographic order; in orbit mode only least members of
-    their class multisets.
+def _scan_first(c: int) -> list[Edge]:
+    """The least members of the class multisets whose least class is ``c``
+    that are missing and create no new Berge copy, in multiset order.
 
-    A prefix is extended only while none of its pairs is known good: every
-    k-set through a good pair creates a new copy.
+    A prefix steps to the next twin of its last vertex or to the head of a
+    later class, and is extended only while none of its pairs is known
+    good: every k-set through a good pair creates a new copy.
     """
     index, pattern, k = _work.index, _work.pattern, _work.k
-    key, good, bad = _work.key, _work.good, _work.bad
-    members, heads = _work.members, _work.heads
-    present, n = index.id_of, index.n
+    key, good, bad, members = _work.key, _work.good, _work.bad, _work.members
+    present = index.id_of
     out: list[Edge] = []
-
-    def steps(t: Edge) -> Iterable[int]:
-        lo, hi = t[-1] + 1, n - k + len(t) + 1
-        if heads is None:
-            return range(lo, hi)
-        # a least member takes the head of a class first, then its next twins
-        later = []
-        for v in t:
-            twins = members[key[v][1]]
-            i = bisect_right(twins, v)
-            if i < len(twins) and lo <= twins[i] < hi:
-                later.append(twins[i])
-        return sorted(heads[bisect_left(heads, lo): bisect_left(heads, hi)] + later)
 
     def grow(t: Edge) -> None:
         if len(t) == k:
+            t = tuple(sorted(t))
             if t not in present and not _creates_new(index, pattern, key, good, bad, t):
                 out.append(t)
             return
         keys = [key[v] for v in t]
-        classes = {c for _, c in keys}
-        # whether a vertex of group g outside t's classes makes a good pair with t
+        last = keys[-1][1]
+        i = sum(d == last for _, d in keys)  # t holds the first i twins of its last class
+        # whether the head of a later class of group g makes a good pair with t
         known: dict[int, bool] = {}
-        for v in steps(t):
-            g, c = kv = key[v]
-            if c in classes:
+        for v in itertools.chain(members[last][i: i + 1], (m[0] for m in members[last + 1:])):
+            g, d = kv = key[v]
+            if d == last:
                 hit = any(_pair_key(ka, kv) in good for ka in keys)
             else:
                 hit = known.get(g)
@@ -251,15 +246,29 @@ def _scan_first(u: int) -> list[Edge]:
                 if any(_pair_key(ka, kb) in good for ka, kb in itertools.combinations(keys, 2)):
                     return
 
-    grow((u,))
+    grow((members[c][0],))
     return out
 
 
-def _run_tasks(h, f, k, groups, worker, tasks, jobs, orbits=False) -> list[Edge]:
+def _expand(found: list[Edge], groups) -> list[Edge]:
+    """Every k-set of the class multisets of the least members ``found``,
+    sorted; ``groups`` is ``_swap_groups(h)``.  Permuting twins is an
+    automorphism, so the members of a multiset are decided alike."""
+    cls, members, _ = groups
+    multisets = [Counter(cls[v] for v in t).items() for t in found]
+    total = sum(prod(comb(len(members[c]), m) for c, m in ms) for ms in multisets)
+    if total > MAX_VIOLATIONS:
+        raise ValueError(f"{total} violations exceed the cap of {MAX_VIOLATIONS}")
+    return sorted(tuple(sorted(itertools.chain(*part))) for ms in multisets
+                  for part in itertools.product(*(itertools.combinations(members[c], m)
+                                                  for c, m in ms)))
+
+
+def _run_tasks(h, f, k, groups, worker, tasks, jobs) -> list[Edge]:
     """Run ``worker`` over ``tasks`` and merge the violations in task order;
     ``groups`` is ``_swap_groups(h)``, computed once for every worker."""
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    args = (h, f, k, groups, orbits)
+    args = (h, f, k, groups)
     if workers <= 1:
         _init_worker(*args)
         results = [worker(t) for t in tasks]
@@ -401,7 +410,8 @@ def is_saturated(
     orbits: bool = False,
 ) -> SaturationReport:
     """Verify freeness, then check that missing k-sets create new Berge
-    copies of ``f``.  Full mode (the default) checks all of them."""
+    copies of ``f``.  Full mode (the default) checks all of them, and raises
+    ``ValueError`` rather than list more than ``MAX_VIOLATIONS``."""
     start = time.perf_counter()
     if not is_k_uniform(h, k):
         raise ValueError(f"hypergraph is not {k}-uniform")
@@ -414,21 +424,20 @@ def is_saturated(
     mode = "orbits" if orbits else "full" if sample is None else "sampled"
     reduction = None
     groups = _swap_groups(h)
-    if mode == "orbits":
-        cls, members, _ = groups
-        checked = _count_class_multisets(cls, k) - len(h.edges)
-        reduction = count_missing_edges(h, k) / checked if checked else None
-        heads = [m[0] for m in members]
-        found = _run_tasks(h, f, k, groups, _scan_first, heads, jobs, orbits=True)
-        violations_sat = sorted(found, key=lambda t: sorted(map(cls.__getitem__, t)))
-    elif mode == "sampled":
+    cls, members, _ = groups
+    if mode == "sampled":
         ksets = _sample_missing(h, k, sample, seed)
         checked = len(ksets)
         tasks = [ksets[i: i + _LIST_CHUNK] for i in range(0, len(ksets), _LIST_CHUNK)]
         violations_sat = _run_tasks(h, f, k, groups, _scan_list, tasks, jobs)
     else:
-        checked = count_missing_edges(h, k)
-        violations_sat = _run_tasks(h, f, k, groups, _scan_first, range(h.n), jobs)
+        violations_sat = _run_tasks(h, f, k, groups, _scan_first, range(len(members)), jobs)
+        if mode == "orbits":
+            checked = _count_class_multisets(cls, k) - len(h.edges)
+            reduction = count_missing_edges(h, k) / checked if checked else None
+        else:
+            checked = count_missing_edges(h, k)
+            violations_sat = _expand(violations_sat, groups)
 
     return SaturationReport(
         is_free=free,

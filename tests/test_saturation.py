@@ -110,8 +110,9 @@ class TestIsSaturated:
         monkeypatch.setattr(saturation.os, "cpu_count", lambda: 4)
         assert is_saturated(s21, K4, 3, jobs=100_000) == expected
         assert is_saturated(s21, K4, 3, jobs=3) == expected
-        small = Hypergraph(3, ())  # one missing triple, so three tasks
-        assert is_saturated(small, K3, 3, jobs=100_000).checked_missing == 1
+        # twin classes {0}, {1, 2} and {3, 4}, so three tasks
+        small = Hypergraph(5, ((0, 1, 2), (0, 3, 4)))
+        assert is_saturated(small, K3, 3, jobs=100_000).checked_missing == 8
         monkeypatch.setattr(saturation.os, "cpu_count", lambda: None)
         assert is_saturated(s21, K4, 3, jobs=100_000) == expected
         assert sizes == [4, 3, 3]
@@ -170,6 +171,21 @@ class TestIsSaturated:
         h, _ = build_c_k_4(3)
         broken = Hypergraph(5, h.edges[:-1])
         assert is_saturated(broken, K4, 3, orbits=True).violations_sat
+
+    def test_oversized_report_is_refused(self, monkeypatch):
+        # 100000 twins: one class multiset to decide, C(100000, 3) sets to list
+        empty = Hypergraph(100_000, ())
+        with pytest.raises(ValueError, match="^166661666700000 violations exceed the cap of 1000000$"):
+            is_saturated(empty, K4, 3)
+        with pytest.raises(ValueError, match="^4999950000 violations exceed"):
+            all_pairs_good(empty, 4)
+        assert is_saturated(empty, K4, 3, orbits=True).violations_sat == [(0, 1, 2)]
+        small = Hypergraph(12, ())
+        monkeypatch.setattr(saturation, "MAX_VIOLATIONS", comb(12, 3))
+        assert is_saturated(small, K4, 3).violations_sat == list(itertools.combinations(range(12), 3))
+        monkeypatch.setattr(saturation, "MAX_VIOLATIONS", comb(12, 3) - 1)
+        with pytest.raises(ValueError, match="^220 violations exceed the cap of 219$"):
+            is_saturated(small, K4, 3)
 
     def test_non_uniform_rejected(self):
         h = Hypergraph(5, ((0, 1, 2), (0, 1)))
@@ -262,7 +278,7 @@ class TestAgainstReference:
         assert report.saturated
         assert probes["probes"] < report.checked_missing // 4
 
-    def test_full_scan_probes_missing_sets_once_in_order(self, monkeypatch):
+    def test_full_scan_probes_least_members_once_in_order(self, monkeypatch):
         probed = []
         real_search = engine._search
 
@@ -272,12 +288,13 @@ class TestAgainstReference:
             return real_search(*args, **kwargs)
 
         monkeypatch.setattr(engine, "_search", recording_search)
-        for h, f, k in reference_corpus():
+        for h, f, k in itertools.chain(reference_corpus(), twin_corpus()):
             probed.clear()
             report = is_saturated(h, f, k, jobs=1)
-            present = h.edge_set()
-            assert all(len(t) == k and t not in present for t in probed)
-            assert probed == sorted(set(probed))  # each once, lexicographic
+            reps = orbit_representatives(h, k)
+            once = set(probed)
+            assert len(once) == len(probed)
+            assert probed == [t for t in reps if t in once]  # in the reference's order
             assert report.checked_missing == comb(h.n, k) - len(h.edges)
 
     def test_sampler_matches_indexing_the_missing_sets(self):
@@ -367,6 +384,26 @@ class TestTwinClasses:
                 sampled = is_saturated(h, f, k, jobs=jobs, sample=40, seed=seed)
                 assert sampled.violations_sat == [t for t in picks if t in bad]
         assert twins > 100  # the corpus really has large twin classes
+
+    def test_orbit_mode_is_a_view_of_full_mode(self):
+        # full mode lists every k-set of each class multiset orbit mode reports
+        twins = 0
+        for h, f, k in itertools.chain(reference_corpus(), twin_corpus()):
+            incidence = [tuple(i for i, e in enumerate(h.edges) if v in e) for v in range(h.n)]
+            classes: dict[tuple, list[int]] = {}
+            for v, inc in enumerate(incidence):
+                classes.setdefault(inc, []).append(v)
+            for jobs in (1, 2):
+                orbit = is_saturated(h, f, k, jobs=jobs, orbits=True)
+                expanded = []
+                for t in orbit.violations_sat:
+                    counts = Counter(incidence[v] for v in t).items()
+                    for part in itertools.product(*(itertools.combinations(classes[inc], m)
+                                                    for inc, m in counts)):
+                        expanded.append(tuple(sorted(itertools.chain(*part))))
+                twins += len(expanded) - len(orbit.violations_sat)
+                assert is_saturated(h, f, k, jobs=jobs).violations_sat == sorted(expanded)
+        assert twins > 1000  # many reported sets stand for more than one
 
     def test_pair_failures_match_the_pair_probe(self):
         rng = random.Random(78)
