@@ -186,9 +186,7 @@ def _search_greedy(args) -> int:
     f = _read_graph(args.graph)
     try:
         completed = oracle.greedy_saturate(h, f, args.k)
-    except RecursionError:
-        raise
-    except RuntimeError as exc:  # the final certification failed
+    except RuntimeError as exc:  # the final certification failed, or too deep a search
         _note(f"error: {exc}")
         return EXIT_ERROR
     with open(args.output, "w", encoding="utf-8") as fh:

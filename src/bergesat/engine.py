@@ -71,6 +71,7 @@ from .core import Graph, Hypergraph, _as_edge
 from .invariants import make_clique
 
 Edge = tuple[int, ...]
+_MAX_VIOLATIONS = 1_000_000  # sets a report may list; each is held in memory and printed
 
 
 @dataclass(frozen=True)
@@ -700,8 +701,8 @@ class CoreCoverageReport:
 
 
 def all_subsets_are_cores(h: Hypergraph, m: int) -> CoreCoverageReport:
-    """Check that every m-subset of the vertex set is exactly the core set of
-    some Berge clique on m vertices."""
+    """Check that every m-subset of vertices is exactly the core set of some
+    Berge clique on m vertices; ``ValueError`` past ``_MAX_VIOLATIONS`` failures."""
     if m > h.n:
         raise ValueError(f"subset size {m} exceeds vertex count {h.n}")
     index = _Index(h)
@@ -711,4 +712,6 @@ def all_subsets_are_cores(h: Hypergraph, m: int) -> CoreCoverageReport:
         report.checked += 1
         if _search(index, pattern, required_core=frozenset(subset)) is None:
             report.failures.append(subset)
+            if len(report.failures) > _MAX_VIOLATIONS:
+                raise ValueError(f"more than {_MAX_VIOLATIONS} subsets are not cores")
     return report

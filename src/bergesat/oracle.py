@@ -78,32 +78,23 @@ def greedy_saturate(h: Hypergraph, f: Graph, k: int, order=None) -> Hypergraph:
     whenever the addition keeps the hypergraph Berge-free; the result is
     saturated, re-certified by a full verification before returning.
 
-    Candidates are decided like the verifier's missing k-sets, skipping the
-    probe through a pair already proved good, against one index that grows
-    by each accepted edge.  No pair stays marked bad past the failed probe
-    that marked it, so each candidate without a pair proved good is probed.
-    Only a caller-supplied order needs validating."""
+    Candidates are decided as the verifier decides missing k-sets, by one
+    ``saturation._Scan`` whose host grows by each accepted edge
+    (``_Scan.accept``).  Only a caller-supplied order needs validating."""
+    if not is_k_uniform(h, k):
+        raise ValueError(f"hypergraph is not {k}-uniform")
     free, _ = saturation.is_berge_free(h, f)
     if not free:
         raise ValueError("hypergraph already contains the pattern")
-    if not is_k_uniform(h, k):
-        raise ValueError(f"hypergraph is not {k}-uniform")
     if order is None:
         candidates = missing_edges(h, k)
     else:
         candidates = (_as_edge(e, h.n) for e in order)
-    index = engine._Index(h)
-    pattern = engine._prepared(f)
-    # the host grows, so twins may part: each vertex keys only itself
-    key = [(v, v) for v in range(h.n)]
-    good: set[tuple[int, int, bool]] = set()  # stays good as edges are added
-    bad: set[tuple[int, int, bool]] = set()
+    scan = saturation._Scan(h, f, k)
+    accept = scan.accept
     for t in candidates:
-        if t not in index.id_of and not saturation._creates_new(index, pattern, key, good, bad, t):
-            index.add(t)
-            # only this failure marked pairs bad, and adding t may make them good
-            bad.clear()
-    current = Hypergraph(h.n, tuple(index.edges))
+        accept(t)
+    current = Hypergraph(h.n, tuple(scan.index.edges))
     report = saturation.is_saturated(current, f, k)
     if not report.saturated:
         raise RuntimeError("greedy completion failed to certify saturation")

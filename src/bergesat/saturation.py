@@ -7,7 +7,7 @@ missing k-set per multiset of twin classes -- a sanity pass that is not a
 certificate.
 
 Every mode, and greedy completion (``oracle.greedy_saturate``), decides a
-missing set with one helper, ``_creates_new``.  A missing set t creates a
+missing set with one scan state, ``_Scan``.  A missing set t creates a
 new Berge copy iff some pair {a, b} inside t does as a bare 2-edge: the
 pattern edge assigned to t has its core images in t, and swapping t for any
 set through a and b that is not an edge keeps the copy valid.  So a probe's
@@ -38,16 +38,16 @@ is decided once, on its least member.  Orbit mode reports the violating
 least members in multiset order; full mode lists every k-set of their
 multisets, sorted, and refuses with ``ValueError`` a list longer than
 ``MAX_VIOLATIONS``, whose length is known before it is built.  Greedy
-completion grows its host, which can part twins, so it keys
-pairs by vertex; adding edges keeps every copy, so a good pair stays good,
-while a bad mark is dropped as soon as its k-set is added.
+completion grows its host, which can part twins, so it keys pairs by vertex;
+adding edges keeps every copy, so a good pair stays good, while a bad mark
+is dropped as soon as its k-set is added (``_Scan.accept``).
 
 Missing-edge checks are pure, so they fan out over at most one worker
 process per CPU, started by the platform's default method, and merge
 deterministically: the report is identical for any worker count.  Each
-worker keeps its own memo and returns only the violations of its task, in
-order.  Its state is kept per thread, so concurrent calls in one process do
-not share it.  The count of checked sets is known without the scan:
+worker builds its own scan and returns only the violations of its task, in
+order.  A call in process builds a scan of its own too, so concurrent calls
+do not share one.  The count of checked sets is known without the scan:
 C(n, k) - |E| in full mode, the sample size in sampled mode, and in orbit
 mode the number of class multisets less |E|, as a class meeting an edge lies
 inside it.
@@ -55,11 +55,11 @@ inside it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import multiprocessing
 import os
 import random
-import threading
 import time
 from bisect import bisect_right
 from collections import Counter
@@ -75,7 +75,7 @@ from .invariants import make_clique
 Edge = tuple[int, ...]
 
 _LIST_CHUNK = 20_000  # sampled k-sets per work unit
-MAX_VIOLATIONS = 1_000_000  # k-sets a report may list; each is held in memory and printed
+MAX_VIOLATIONS = engine._MAX_VIOLATIONS  # the cap on the sets a report may list
 
 
 @dataclass
@@ -122,7 +122,7 @@ def all_pairs_good(h: Hypergraph, ell: int) -> PairGoodnessReport:
     it create a new Berge clique on ``ell`` vertices?  Raises ``ValueError``
     rather than list more than ``MAX_VIOLATIONS`` failures."""
     groups = _swap_groups(h)
-    failures = _expand(_run_tasks(h, make_clique(ell), 2, groups, _scan_first,
+    failures = _expand(_run_tasks(h, make_clique(ell), 2, groups, _Scan.first,
                                   range(len(groups[1])), 1), groups)
     checked = count_missing_edges(h, 2)
     return PairGoodnessReport(checked=checked, good=checked - len(failures),
@@ -146,22 +146,7 @@ def _rank_kset(t: Edge, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# worker machinery (module level so pool workers can reach it)
-
-_work = threading.local()  # one scan's state per thread, so concurrent calls stay apart
-
-
-def _init_worker(h: Hypergraph, f: Graph, k: int, groups) -> None:
-    """Set up one scan's state; ``groups`` is ``_swap_groups(h)``."""
-    _work.index = engine._Index(h)
-    _work.pattern = engine._prepared(f)
-    _work.k = k
-    cls, members, group = groups
-    class_key = [(g, c) for c, g in enumerate(group)]  # the members of a class share one tuple
-    _work.key = [class_key[c] for c in cls]
-    _work.members = members
-    _work.good = set()  # keys of pairs known good
-    _work.bad = set()  # keys of pairs known bad
+# the scan
 
 
 def _pair_key(ka: tuple[int, int], kb: tuple[int, int]) -> tuple[int, int, bool]:
@@ -172,82 +157,100 @@ def _pair_key(ka: tuple[int, int], kb: tuple[int, int]) -> tuple[int, int, bool]
     return (ga, gb, ca == cb) if ga <= gb else (gb, ga, ca == cb)
 
 
-def _creates_new(index, pattern, key: list, good: set, bad: set, t: Edge) -> bool:
-    """Does adding the missing set ``t`` to the indexed host create a new
-    Berge copy?
+class _Scan:
+    """One scan's state: the indexed host, the prepared pattern, the vertex
+    keys, the twin class members and the pair memo.  ``groups`` is
+    ``_swap_groups(h)``; ``None`` gives each vertex a class and a group of
+    its own, as greedy completion needs: its host grows, so twins may part."""
 
-    ``key[v]`` is the vertex key of v; pairs of equal ``_pair_key`` lie in
-    one orbit of the host's automorphisms.  ``good`` and ``bad`` hold the
-    keys of pairs known good and known bad.  ``t`` is answered without a
-    probe when one of its pairs is known good, or when all of them are
-    known bad.  Otherwise it is probed once: a witness marks good the key of
-    the core images of the pattern edge it assigns to ``t``, and a failure
-    marks bad the key of every pair of ``t``.
-    """
-    keys = [_pair_key(key[a], key[b]) for a, b in itertools.combinations(t, 2)]
-    if not good.isdisjoint(keys):
+    def __init__(self, h: Hypergraph, f: Graph, k: int, groups=None) -> None:
+        self.index = engine._Index(h)
+        self.pattern = engine._prepared(f)
+        self.k = k
+        cls, self.members, group = groups or (range(h.n), [[v] for v in range(h.n)], range(h.n))
+        class_key = [(g, c) for c, g in enumerate(group)]  # the members of a class share one tuple
+        self.key = [class_key[c] for c in cls]
+        self.good: set[tuple[int, int, bool]] = set()
+        self.bad: set[tuple[int, int, bool]] = set()
+
+    def creates_new(self, t: Edge) -> bool:
+        """Does adding the missing set ``t`` to the host create a new Berge copy?
+
+        ``key[v]`` is the vertex key of v; pairs of equal ``_pair_key`` lie in
+        one orbit of the host's automorphisms.  ``t`` is answered without a
+        probe when one of its pairs is known good, or when all of them are
+        known bad.  Otherwise it is probed once: a witness marks good the key
+        of the core images of the pattern edge it assigns to ``t``, and a
+        failure marks bad the key of every pair of ``t``.
+        """
+        key, good, bad = self.key, self.good, self.bad
+        keys = [_pair_key(key[a], key[b]) for a, b in itertools.combinations(t, 2)]
+        if not good.isdisjoint(keys):
+            return True
+        if bad.issuperset(keys):
+            return False
+        w = engine._search(self.index, self.pattern, required_edge=t)
+        if w is None:
+            bad.update(keys)
+            return False
+        x, y = next(fe for fe, e in w.edge_map.items() if e == t)
+        good.add(_pair_key(key[w.core_map[x]], key[w.core_map[y]]))
         return True
-    if bad.issuperset(keys):
-        return False
-    w = engine._search(index, pattern, required_edge=t)
-    if w is None:
-        bad.update(keys)
-        return False
-    x, y = next(fe for fe, e in w.edge_map.items() if e == t)
-    good.add(_pair_key(key[w.core_map[x]], key[w.core_map[y]]))
-    return True
 
+    def listed(self, ksets: Iterable[Edge]) -> list[Edge]:
+        """The missing k-sets, in order, that create no new Berge copy."""
+        return [t for t in ksets if not self.creates_new(t)]
 
-def _scan_list(ksets: Iterable[Edge]) -> list[Edge]:
-    """The missing k-sets, in order, that create no new Berge copy."""
-    index, pattern, key, good, bad = _work.index, _work.pattern, _work.key, _work.good, _work.bad
-    return [t for t in ksets if not _creates_new(index, pattern, key, good, bad, t)]
+    def first(self, c: int) -> list[Edge]:
+        """The least members of the class multisets whose least class is ``c``
+        that are missing and create no new Berge copy, in multiset order.
 
+        A prefix steps to the next twin of its last vertex or to the head of a
+        later class, and is extended only while none of its pairs is known
+        good: every k-set through a good pair creates a new copy.
+        """
+        k, key, good, members = self.k, self.key, self.good, self.members
+        creates_new, present = self.creates_new, self.index.id_of
+        out: list[Edge] = []
 
-def _scan_first(c: int) -> list[Edge]:
-    """The least members of the class multisets whose least class is ``c``
-    that are missing and create no new Berge copy, in multiset order.
+        def grow(t: Edge) -> None:
+            if len(t) == k:
+                t = tuple(sorted(t))
+                if t not in present and not creates_new(t):
+                    out.append(t)
+                return
+            keys = [key[v] for v in t]
+            last = keys[-1][1]
+            i = sum(d == last for _, d in keys)  # t holds the first i twins of its last class
+            # whether the head of a later class of group g makes a good pair with t
+            known: dict[int, bool] = {}
+            for v in itertools.chain(members[last][i: i + 1], (m[0] for m in members[last + 1:])):
+                g, d = kv = key[v]
+                if d == last:
+                    hit = any(_pair_key(ka, kv) in good for ka in keys)
+                else:
+                    hit = known.get(g)
+                    if hit is None:
+                        hit = known[g] = any(_pair_key(ka, (g, -1)) in good for ka in keys)
+                if hit:
+                    continue
+                size = len(good)
+                grow(t + (v,))
+                if len(good) != size:
+                    known.clear()
+                    # a witness below may have proved a pair of t itself good
+                    if any(_pair_key(ka, kb) in good for ka, kb in itertools.combinations(keys, 2)):
+                        return
 
-    A prefix steps to the next twin of its last vertex or to the head of a
-    later class, and is extended only while none of its pairs is known
-    good: every k-set through a good pair creates a new copy.
-    """
-    index, pattern, k = _work.index, _work.pattern, _work.k
-    key, good, bad, members = _work.key, _work.good, _work.bad, _work.members
-    present = index.id_of
-    out: list[Edge] = []
+        grow((members[c][0],))
+        return out
 
-    def grow(t: Edge) -> None:
-        if len(t) == k:
-            t = tuple(sorted(t))
-            if t not in present and not _creates_new(index, pattern, key, good, bad, t):
-                out.append(t)
-            return
-        keys = [key[v] for v in t]
-        last = keys[-1][1]
-        i = sum(d == last for _, d in keys)  # t holds the first i twins of its last class
-        # whether the head of a later class of group g makes a good pair with t
-        known: dict[int, bool] = {}
-        for v in itertools.chain(members[last][i: i + 1], (m[0] for m in members[last + 1:])):
-            g, d = kv = key[v]
-            if d == last:
-                hit = any(_pair_key(ka, kv) in good for ka in keys)
-            else:
-                hit = known.get(g)
-                if hit is None:
-                    hit = known[g] = any(_pair_key(ka, (g, -1)) in good for ka in keys)
-            if hit:
-                continue
-            size = len(good)
-            grow(t + (v,))
-            if len(good) != size:
-                known.clear()
-                # a witness below may have proved a pair of t itself good
-                if any(_pair_key(ka, kb) in good for ka, kb in itertools.combinations(keys, 2)):
-                    return
-
-    grow((members[c][0],))
-    return out
+    def accept(self, t: Edge) -> None:
+        """Greedy's step: if ``t`` is missing and creates no new copy, add it
+        and drop the bad marks, as an added edge can make a bad pair good."""
+        if t not in self.index.id_of and not self.creates_new(t):
+            self.index.add(t)
+            self.bad.clear()
 
 
 def _expand(found: list[Edge], groups) -> list[Edge]:
@@ -264,18 +267,31 @@ def _expand(found: list[Edge], groups) -> list[Edge]:
                                                   for c, m in ms)))
 
 
-def _run_tasks(h, f, k, groups, worker, tasks, jobs) -> list[Edge]:
-    """Run ``worker`` over ``tasks`` and merge the violations in task order;
-    ``groups`` is ``_swap_groups(h)``, computed once for every worker."""
+_worker_scan: _Scan | None = None  # a pool worker process's own scan
+
+
+def _start_worker(h: Hypergraph, f: Graph, k: int, groups) -> None:
+    global _worker_scan
+    _worker_scan = _Scan(h, f, k, groups)
+
+
+def _worker_task(method, task: int | list[Edge]) -> list[Edge]:
+    return method(_worker_scan, task)
+
+
+def _run_tasks(h, f, k, groups, method, tasks, jobs) -> list[Edge]:
+    """Run the ``_Scan`` method ``method`` over ``tasks`` and merge the
+    violations in task order; ``groups`` is ``_swap_groups(h)``, computed
+    once for every worker."""
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     args = (h, f, k, groups)
     if workers <= 1:
-        _init_worker(*args)
-        results = [worker(t) for t in tasks]
+        scan = _Scan(*args)
+        results = [method(scan, t) for t in tasks]
     else:
         ctx = multiprocessing.get_context(None)  # the platform's default method
-        with ctx.Pool(workers, initializer=_init_worker, initargs=args) as pool:
-            results = pool.map(worker, tasks)
+        with ctx.Pool(workers, initializer=_start_worker, initargs=args) as pool:
+            results = pool.map(functools.partial(_worker_task, method), tasks)
     return [t for v in results for t in v]
 
 
@@ -429,9 +445,9 @@ def is_saturated(
         ksets = _sample_missing(h, k, sample, seed)
         checked = len(ksets)
         tasks = [ksets[i: i + _LIST_CHUNK] for i in range(0, len(ksets), _LIST_CHUNK)]
-        violations_sat = _run_tasks(h, f, k, groups, _scan_list, tasks, jobs)
+        violations_sat = _run_tasks(h, f, k, groups, _Scan.listed, tasks, jobs)
     else:
-        violations_sat = _run_tasks(h, f, k, groups, _scan_first, range(len(members)), jobs)
+        violations_sat = _run_tasks(h, f, k, groups, _Scan.first, range(len(members)), jobs)
         if mode == "orbits":
             checked = _count_class_multisets(cls, k) - len(h.edges)
             reduction = count_missing_edges(h, k) / checked if checked else None

@@ -299,17 +299,30 @@ class TestContract:
         code, _, _ = run(capsys, "invariants", "--graph", str(tmp_path / "nope.g"))
         assert code == 2
 
-    def test_too_deep_search_exit_two(self, capsys, tmp_path):
-        # a 1,500-vertex path pattern recurses past Python's stack limit
+    @pytest.fixture
+    def long_path(self, tmp_path):
+        """A 1,500-vertex path as a pattern and as a host of 2-edges: a search
+        for it recurses past Python's stack limit."""
         n = 1500
         path_edges = "".join(f"{i} {i + 1}\n" for i in range(n - 1))
         g = tmp_path / "path.g"
         g.write_text(path_edges)
         hg = tmp_path / "path.hg"
         hg.write_text(f"n {n}\n" + path_edges)
-        code, out, err = run(capsys, "check", "contains", "--graph", str(g),
-                             "--hgraph", str(hg))
+        return str(g), str(hg)
+
+    def test_too_deep_search_exit_two(self, capsys, long_path):
+        g, hg = long_path
+        code, out, err = run(capsys, "check", "contains", "--graph", g, "--hgraph", hg)
         assert code == 2 and out == "" and err.startswith("error: ")
+
+    def test_too_deep_greedy_exit_two(self, capsys, tmp_path, long_path):
+        g, hg = long_path
+        done = tmp_path / "done.hg"
+        code, out, err = run(capsys, "search", "greedy", "--hgraph", hg, "--graph", g,
+                             "--k", "2", "-o", str(done))
+        assert code == 2 and out == "" and err.startswith("error: ") and "recursion" in err
+        assert not done.exists()
 
     def test_uncertified_greedy_exit_two(self, capsys, monkeypatch, tmp_path, k4_path,
                                          tight_cycle_path):

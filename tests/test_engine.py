@@ -179,6 +179,24 @@ class TestCoreCoverage:
         with pytest.raises(ValueError):
             all_subsets_are_cores(tight_cycle, 6)
 
+    def test_failures_past_the_cap_are_refused(self, monkeypatch):
+        # every one of the C(8, 3) = 56 triples of an empty host fails
+        empty = Hypergraph(8, ())
+        monkeypatch.setattr(engine, "_MAX_VIOLATIONS", 56)
+        assert len(all_subsets_are_cores(empty, 3).failures) == 56
+        searches = [0]
+        real_search = engine._search
+
+        def counting(*args, **kwargs):
+            searches[0] += 1
+            return real_search(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "_search", counting)
+        monkeypatch.setattr(engine, "_MAX_VIOLATIONS", 10)
+        with pytest.raises(ValueError, match="^more than 10 subsets are not cores$"):
+            all_subsets_are_cores(empty, 3)
+        assert searches[0] == 11  # refused at the first failure past the cap
+
 
 class TestSoundnessAndAgreement:
     def test_witnesses_validate_on_random_corpus(self):

@@ -1,12 +1,14 @@
+import hashlib
 import itertools
 import random
+import warnings
 from math import ceil, comb
 
 import pytest
 
 from bergesat import engine, saturation
 from bergesat.core import Hypergraph, add_edge, missing_edges
-from bergesat.constructions import build_h_min_deg
+from bergesat.constructions import build_h_feedback, build_h_min_deg
 from bergesat.engine import contains_berge, creates_new_berge
 from bergesat.invariants import make_clique, make_cycle, make_path, make_star
 from bergesat.oracle import (
@@ -146,18 +148,69 @@ class TestGreedyAgainstReference:
         greedy_saturate(empty, K4, 3)
         assert 0 < calls["before_certify"] < candidates // 2
 
+    # (start, pattern, probes, edges of the result, sha256 of the repr of the
+    # list of probed k-sets), the probes counted until the final certification
+    PINNED_PROBES = {
+        "feedback C5": (lambda: build_h_feedback(40, 3, 3, make_cycle(5))[0], make_cycle(5),
+                        718, 28,
+                        "ca1c4335c3b301f20af964ef920ffa3810b45cd5b145c002a7b478b3170ec659"),
+        "empty K4": (lambda: Hypergraph(14, ()), K4, 99, 23,
+                     "49bdaa57650967725c20dd2b460fb14ce2847b75aba2e1721fdb80b61811dc14"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_PROBES))
+    def test_probe_sequence_is_pinned(self, monkeypatch, name):
+        start, f, probes, edges, digest = self.PINNED_PROBES[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the feedback host's a == k is flagged
+            h = start()
+        probed: list = []
+        certifying = [False]
+        real_search = engine._search
+        real_is_saturated = saturation.is_saturated
+
+        def recording_search(*args, **kwargs):
+            if kwargs.get("required_edge") is not None and not certifying[0]:
+                probed.append(kwargs["required_edge"])
+            return real_search(*args, **kwargs)
+
+        def marking_is_saturated(*args, **kwargs):
+            certifying[0] = True
+            return real_is_saturated(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "_search", recording_search)
+        monkeypatch.setattr(saturation, "is_saturated", marking_is_saturated)
+        result = greedy_saturate(h, f, 3)
+        assert (len(probed), len(result.edges)) == (probes, edges)
+        assert hashlib.sha256(repr(probed).encode()).hexdigest() == digest
+
     def test_non_uniform_start_rejected_before_any_probe(self, monkeypatch):
         calls = [0]
-        real_creates_new = saturation._creates_new
+        real_creates_new = saturation._Scan.creates_new
 
         def counting(*args):
             calls[0] += 1
             return real_creates_new(*args)
 
-        monkeypatch.setattr(saturation, "_creates_new", counting)
+        monkeypatch.setattr(saturation._Scan, "creates_new", counting)
         h = Hypergraph(8, ((0, 1, 2), (3, 4)))
         with pytest.raises(ValueError, match="hypergraph is not 3-uniform"):
             greedy_saturate(h, K4, 3)
+        assert calls[0] == 0
+
+    def test_uniformity_checked_before_any_search(self, monkeypatch):
+        calls = [0]
+        real_search = engine._search
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return real_search(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "_search", counting)
+        # the four triples of {0, 1, 2, 3} hold a Berge triangle, and (4, 5) is a pair
+        h = Hypergraph(6, ((0, 1, 2), (0, 1, 3), (1, 2, 3), (0, 2, 3), (4, 5)))
+        with pytest.raises(ValueError, match="hypergraph is not 3-uniform"):
+            greedy_saturate(h, K3, 3)
         assert calls[0] == 0
 
     @pytest.mark.parametrize("bad", [(0, 1, 5), (0, 1, -1), (2, 2, 3), (4,)])
