@@ -65,13 +65,12 @@ import functools
 import itertools
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import Graph, Hypergraph, _as_edge
 from .invariants import make_clique
 
 Edge = tuple[int, ...]
-_MAX_VIOLATIONS = 1_000_000  # sets a report may list; each is held in memory and printed
 
 
 @dataclass(frozen=True)
@@ -435,20 +434,21 @@ class _Pattern:
         self.above = [sum(below[k] >> i & 1 for k in range(i + 1, f.n)) for i in range(f.n)]
         pos = {x: i for i, x in enumerate(self.order)}
         # each pattern edge is a demand of its later-placed endpoint: position
-        # i is joined to the earlier positions back_edges[i], and the matcher's
-        # demands are the pattern edges in placement order
+        # i is joined to the earlier positions back_edges[i], ascending as
+        # ends is sorted, and the matcher's demands are the pattern edges in
+        # placement order.  For the required-edge prune: the latest position
+        # joined to each position, and the latest position at which some
+        # pattern edge still has both endpoints unplaced (-1 when none)
         ends = sorted(
             (max(pos[x], pos[y]), min(pos[x], pos[y]), (x, y)) for x, y in f.edges
         )
-        self.back_edges = [tuple(i for j, i, _ in ends if j == at) for at in range(f.n)]
-        self.demands = [fe for _, _, fe in ends]
-        # for the required-edge prune: the latest position joined to each
-        # position, and the latest position at which some pattern edge still
-        # has both endpoints unplaced (-1 when there is none)
+        self.back_edges: list[list[int]] = [[] for _ in range(f.n)]
         self.last_nbr = [-1] * f.n
         for j, i, _ in ends:
+            self.back_edges[j].append(i)
             self.last_nbr[i] = max(self.last_nbr[i], j)
             self.last_nbr[j] = max(self.last_nbr[j], i)
+        self.demands = [fe for _, _, fe in ends]
         self.last_pair = max((i for _, i, _ in ends), default=-1)
 
 
@@ -466,7 +466,7 @@ def _prepared(f: Graph) -> _Pattern:
 
 def _search(
     index: _Index,
-    pattern: _Pattern,
+    pattern: _Pattern | None,
     required_core: frozenset[int] = frozenset(),
     forbidden_core: frozenset[int] = frozenset(),
     required_edge: Edge | None = None,
@@ -477,11 +477,12 @@ def _search(
     A ``required_edge`` missing from the index is a probe: it is treated as
     an extra hyperedge with id ``len(index.edges)``, appended without
     rebuilding the index, which is how probes over thousands of candidate
-    edge additions stay cheap.
+    edge additions stay cheap.  A pattern with more vertices than the host
+    has no witness; callers pass None for it rather than prepare it.
     """
-    nf = pattern.nf
-    if nf > index.n:
+    if pattern is None:
         return None
+    nf = pattern.nf
     vid = len(index.edges)  # the virtual edge's id
     req_eid = -1
     rset: frozenset[int] = frozenset()
@@ -660,7 +661,7 @@ def find_berge_witness(
         return None
     return _search(
         index,
-        _prepared(f),
+        _prepared(f) if f.n <= h.n else None,
         required_core=c.required_core,
         forbidden_core=c.forbidden_core,
         required_edge=required_edge,
@@ -678,40 +679,10 @@ def creates_new_berge(h: Hypergraph, e, f: Graph) -> bool:
     index = _Index(h)
     if t in index.id_of:
         raise ValueError(f"edge {set(t)} already present")
-    return _search(index, _prepared(f), required_edge=t) is not None
+    return _search(index, _prepared(f) if f.n <= h.n else None, required_edge=t) is not None
 
 
 def is_ell_good(h: Hypergraph, u: int, v: int, ell: int) -> bool:
     """True iff adding the pair ``uv`` creates a new Berge clique on ``ell``
     vertices.  Only requires the 2-edge ``uv`` itself to be absent."""
     return creates_new_berge(h, (u, v), make_clique(ell))
-
-
-@dataclass
-class CoreCoverageReport:
-    """Outcome of checking every m-subset as a candidate core set."""
-
-    subset_size: int
-    checked: int
-    failures: list[tuple[int, ...]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def all_subsets_are_cores(h: Hypergraph, m: int) -> CoreCoverageReport:
-    """Check that every m-subset of vertices is exactly the core set of some
-    Berge clique on m vertices; ``ValueError`` past ``_MAX_VIOLATIONS`` failures."""
-    if m > h.n:
-        raise ValueError(f"subset size {m} exceeds vertex count {h.n}")
-    index = _Index(h)
-    pattern = _prepared(make_clique(m))
-    report = CoreCoverageReport(subset_size=m, checked=0)
-    for subset in itertools.combinations(range(h.n), m):
-        report.checked += 1
-        if _search(index, pattern, required_core=frozenset(subset)) is None:
-            report.failures.append(subset)
-            if len(report.failures) > _MAX_VIOLATIONS:
-                raise ValueError(f"more than {_MAX_VIOLATIONS} subsets are not cores")
-    return report

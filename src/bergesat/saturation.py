@@ -36,11 +36,16 @@ steps to the next twin of its last vertex or to the head of a later class,
 and is extended only while none of its pairs is known good.  Each multiset
 is decided once, on its least member.  Orbit mode reports the violating
 least members in multiset order; full mode lists every k-set of their
-multisets, sorted, and refuses with ``ValueError`` a list longer than
-``MAX_VIOLATIONS``, whose length is known before it is built.  Greedy
-completion grows its host, which can part twins, so it keys pairs by vertex;
-adding edges keeps every copy, so a good pair stays good, while a bad mark
-is dropped as soon as its k-set is added (``_Scan.accept``).
+multisets, sorted (``_expand``).  Greedy completion grows its host, which
+can part twins, so it keys pairs by vertex; adding edges keeps every copy,
+so a good pair stays good, while a bad mark is dropped as soon as its k-set
+is added (``_Scan.accept``).
+
+Being a core set is kept by automorphisms too, so ``all_subsets_are_cores``
+searches one m-set per orbit of the group permutations above: the sets with
+the same counts on the classes of each group.  ``_expand`` lists every
+report from its orbits' representatives, counting each orbit first, and
+refuses with ``ValueError`` past ``MAX_VIOLATIONS`` sets.
 
 Missing-edge checks are pure, so they fan out over at most one worker
 process per CPU, started by the platform's default method, and merge
@@ -63,9 +68,9 @@ import random
 import time
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from math import comb, prod
+from math import comb
 
 from . import engine
 from .core import Graph, Hypergraph, count_missing_edges, is_k_uniform
@@ -75,7 +80,7 @@ from .invariants import make_clique
 Edge = tuple[int, ...]
 
 _LIST_CHUNK = 20_000  # sampled k-sets per work unit
-MAX_VIOLATIONS = engine._MAX_VIOLATIONS  # the cap on the sets a report may list
+MAX_VIOLATIONS = 1_000_000  # sets a report may list; each is held in memory and printed
 
 
 @dataclass
@@ -121,18 +126,44 @@ def all_pairs_good(h: Hypergraph, ell: int) -> PairGoodnessReport:
     """Check every vertex pair not already present as a 2-edge: does adding
     it create a new Berge clique on ``ell`` vertices?  Raises ``ValueError``
     rather than list more than ``MAX_VIOLATIONS`` failures."""
-    groups = _swap_groups(h)
-    failures = _expand(_run_tasks(h, make_clique(ell), 2, groups, _Scan.first,
-                                  range(len(groups[1])), 1), groups)
+    groups = cls, members, _ = _swap_groups(h)
+    found = _run_tasks(h, make_clique(ell), 2, groups, _Scan.first, range(len(members)), 1)
+    failures = _expand(found, (cls, members, range(len(members))))
     checked = count_missing_edges(h, 2)
     return PairGoodnessReport(checked=checked, good=checked - len(failures),
                               failures=failures)
 
 
-def all_cores_present(h: Hypergraph, ell: int) -> engine.CoreCoverageReport:
+@dataclass
+class CoreCoverageReport:
+    """Outcome of checking every m-subset as a candidate core set."""
+
+    subset_size: int
+    checked: int
+    failures: list[tuple[int, ...]] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+
+def all_subsets_are_cores(h: Hypergraph, m: int) -> CoreCoverageReport:
+    """Check that every m-subset of vertices is exactly the core set of some
+    Berge clique on m vertices; ``ValueError`` past ``MAX_VIOLATIONS`` failures."""
+    if m > h.n:
+        raise ValueError(f"subset size {m} exceeds vertex count {h.n}")
+    index = engine._Index(h)
+    pattern = engine._prepared(make_clique(m))
+    groups = _swap_groups(h)
+    failing = (t for t in _representatives(groups, m)
+               if engine._search(index, pattern, required_core=frozenset(t)) is None)
+    return CoreCoverageReport(m, comb(h.n, m), _expand(failing, groups))
+
+
+def all_cores_present(h: Hypergraph, ell: int) -> CoreCoverageReport:
     """Every (ell-1)-subset of vertices must be the core set of a Berge
     clique on ell-1 vertices."""
-    return engine.all_subsets_are_cores(h, ell - 1)
+    return all_subsets_are_cores(h, ell - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +196,7 @@ class _Scan:
 
     def __init__(self, h: Hypergraph, f: Graph, k: int, groups=None) -> None:
         self.index = engine._Index(h)
-        self.pattern = engine._prepared(f)
+        self.pattern = engine._prepared(f) if f.n <= h.n else None  # None: no copy fits
         self.k = k
         cls, self.members, group = groups or (range(h.n), [[v] for v in range(h.n)], range(h.n))
         class_key = [(g, c) for c, g in enumerate(group)]  # the members of a class share one tuple
@@ -253,18 +284,64 @@ class _Scan:
             self.bad.clear()
 
 
-def _expand(found: list[Edge], groups) -> list[Edge]:
-    """Every k-set of the class multisets of the least members ``found``,
-    sorted; ``groups`` is ``_swap_groups(h)``.  Permuting twins is an
-    automorphism, so the members of a multiset are decided alike."""
-    cls, members, _ = groups
-    multisets = [Counter(cls[v] for v in t).items() for t in found]
-    total = sum(prod(comb(len(members[c]), m) for c, m in ms) for ms in multisets)
-    if total > MAX_VIOLATIONS:
-        raise ValueError(f"{total} violations exceed the cap of {MAX_VIOLATIONS}")
-    return sorted(tuple(sorted(itertools.chain(*part))) for ms in multisets
-                  for part in itertools.product(*(itertools.combinations(members[c], m)
-                                                  for c, m in ms)))
+def _expand(found: Iterable[Edge], groups) -> list[Edge]:
+    """Every set of the orbits of the representatives ``found``, sorted.
+    Each orbit is counted as it is read, so a lazy ``found`` is read no
+    further once the orbits pass ``MAX_VIOLATIONS``."""
+    cls, members, group = groups
+    classes = _class_members(group)  # the classes of each group, in order
+    fixed = [len(members[c]) == len(classes[g]) == 1 for c, g in enumerate(group)]
+    out: list[Edge] = []
+    orbits = []  # each other orbit: (g, p) -> how many classes of group g hold p of t
+    total = 0
+    for t in found:
+        if all(fixed[cls[v]] for v in t):  # no permutation moves t
+            out.append(tuple(sorted(t)))
+            total += 1
+        else:
+            orbit: dict[tuple[int, int], int] = {}
+            for c, p in Counter(cls[v] for v in t).items():
+                orbit[group[c], p] = orbit.get((group[c], p), 0) + 1
+            size, taken = 1, {}  # taken: the classes of each group given a count so far
+            for (g, p), mult in orbit.items():
+                free = len(classes[g]) - taken.get(g, 0)
+                size *= comb(free, mult) * comb(len(members[classes[g][0]]), p) ** mult
+                taken[g] = taken.get(g, 0) + mult
+            total += size
+            orbits.append(orbit)
+        if total > MAX_VIOLATIONS:
+            raise ValueError(f"{total} violations exceed the cap of {MAX_VIOLATIONS}")
+    for orbit in orbits:
+        ways: list[tuple[Edge, Edge]] = [((), ())]  # its class multisets: (classes, counts)
+        for (g, p), mult in orbit.items():
+            ways = [(cs + chosen, ps + (p,) * mult) for cs, ps in ways for chosen in
+                    itertools.combinations([c for c in classes[g] if c not in cs], mult)]
+        for cs, ps in ways:
+            out.extend(tuple(sorted(itertools.chain(*part))) for part in itertools.product(
+                *map(itertools.combinations, map(members.__getitem__, cs), ps)))
+    return sorted(out)
+
+
+def _representatives(groups, m: int) -> Iterator[Edge]:
+    """One set of m >= 1 vertices per orbit of ``_expand``, lazily: it meets
+    groups in increasing order, on each its first classes with
+    non-increasing counts, and on each class its first members."""
+    gm = [[groups[1][c] for c in cs] for cs in _class_members(groups[2])]  # members by group
+
+    def grow(t: Edge, g: int, j: int, i: int, cap: int) -> Iterator[Edge]:
+        # t ends with the first i members of class j of group g, which may hold
+        # cap; the next class of g may hold i.  An empty t only starts a group.
+        if len(t) == m:
+            yield t
+            return
+        if i < cap:
+            yield from grow(t + (gm[g][j][i],), g, j, i + 1, cap)
+        if i and j + 1 < len(gm[g]):
+            yield from grow(t + (gm[g][j + 1][0],), g, j + 1, 1, i)
+        for d in range(g + 1, len(gm)):
+            yield from grow(t + (gm[d][0][0],), d, 0, 1, len(gm[d][0]))
+
+    return grow((), -1, 0, 0, 0)
 
 
 _worker_scan: _Scan | None = None  # a pool worker process's own scan
@@ -453,7 +530,7 @@ def is_saturated(
             reduction = count_missing_edges(h, k) / checked if checked else None
         else:
             checked = count_missing_edges(h, k)
-            violations_sat = _expand(violations_sat, groups)
+            violations_sat = _expand(violations_sat, (cls, members, range(len(members))))
 
     return SaturationReport(
         is_free=free,

@@ -1,13 +1,15 @@
 import argparse
+import itertools
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from bergesat import cli, saturation
 from bergesat.cli import main
-from bergesat.core import parse_hypergraph
+from bergesat.core import missing_edges, parse_hypergraph
 
 # every --help text, recorded at COLUMNS=80 under the Python minor version named
 GOLDEN_HELP = json.loads((Path(__file__).parent / "golden_help.json").read_text())
@@ -196,6 +198,19 @@ class TestCheck:
         assert payload["mode"] == "sampled"
         assert payload["sample_count"] == 25 and payload["sample_seed"] == 3
 
+    def test_clique_larger_than_the_host_is_answered_at_once(self, capsys, s21_path):
+        # no K_1000 fits in 21 vertices, so no missing triple creates one
+        start = time.perf_counter()
+        code, payload, _ = run_json(
+            capsys, "check", "saturated",
+            "--hgraph", str(s21_path), "--clique", "1000", "--k", "3",
+        )
+        assert time.perf_counter() - start < 10
+        assert code == 1 and payload["is_free"] and not payload["saturated"]
+        missing = [list(t) for t in missing_edges(parse_hypergraph(s21_path.read_text()), 3)]
+        assert payload["violations_sat"] == missing
+        assert payload["checked_missing"] == len(missing)
+
 
 class TestVerifyLemma:
     def test_pairs_good(self, capsys, tight_cycle_path):
@@ -221,6 +236,15 @@ class TestVerifyLemma:
             capsys, "verify-lemma", "pairs-good", "--hgraph", str(path), "--ell", "4",
         )
         assert code == 1 and payload["good"] == 0
+
+    def test_clique_larger_than_the_host_fails_every_pair(self, capsys, s21_path):
+        start = time.perf_counter()
+        code, payload, _ = run_json(
+            capsys, "verify-lemma", "pairs-good", "--hgraph", str(s21_path), "--ell", "1000",
+        )
+        assert time.perf_counter() - start < 10
+        assert code == 1 and payload["checked"] == 210 and payload["good"] == 0
+        assert payload["failures"] == [list(p) for p in itertools.combinations(range(21), 2)]
 
 
 class TestInvariants:

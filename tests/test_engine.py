@@ -11,7 +11,6 @@ from bergesat.constructions import build_c_k_4, build_c_k_ell, build_s
 from bergesat.engine import (
     BergeWitness,
     SearchConstraints,
-    all_subsets_are_cores,
     contains_berge,
     creates_new_berge,
     find_berge_witness,
@@ -163,39 +162,6 @@ class TestEllGood:
     def test_out_of_range_pair_rejected(self, tight_cycle, u, v):
         with pytest.raises(ValueError, match="out of range for n=5"):
             is_ell_good(tight_cycle, u, v, 4)
-
-
-class TestCoreCoverage:
-    def test_tight_cycle_triples(self, tight_cycle):
-        report = all_subsets_are_cores(tight_cycle, 3)
-        assert report.ok and report.checked == 10
-
-    def test_disjoint_edges_fail(self):
-        h = Hypergraph(6, ((0, 1, 2), (3, 4, 5)))
-        report = all_subsets_are_cores(h, 3)
-        assert not report.ok and (0, 1, 3) in report.failures
-
-    def test_subset_size_validated(self, tight_cycle):
-        with pytest.raises(ValueError):
-            all_subsets_are_cores(tight_cycle, 6)
-
-    def test_failures_past_the_cap_are_refused(self, monkeypatch):
-        # every one of the C(8, 3) = 56 triples of an empty host fails
-        empty = Hypergraph(8, ())
-        monkeypatch.setattr(engine, "_MAX_VIOLATIONS", 56)
-        assert len(all_subsets_are_cores(empty, 3).failures) == 56
-        searches = [0]
-        real_search = engine._search
-
-        def counting(*args, **kwargs):
-            searches[0] += 1
-            return real_search(*args, **kwargs)
-
-        monkeypatch.setattr(engine, "_search", counting)
-        monkeypatch.setattr(engine, "_MAX_VIOLATIONS", 10)
-        with pytest.raises(ValueError, match="^more than 10 subsets are not cores$"):
-            all_subsets_are_cores(empty, 3)
-        assert searches[0] == 11  # refused at the first failure past the cap
 
 
 class TestSoundnessAndAgreement:
@@ -544,7 +510,7 @@ class TestLexLeaderBounds:
         for _ in range(2):
             find_berge_witness(c5, h)
             creates_new_berge(h, next(iter(missing_edges(h, 3))), c5)
-            all_subsets_are_cores(tight, 3)
+            saturation.all_subsets_are_cores(tight, 3)
             saturation.is_saturated(tight, c5, 3)
             saturation.is_saturated(tight, c5, 3, orbits=True)
             greedy_saturate(Hypergraph(7, ()), c5, 3)

@@ -11,11 +11,13 @@ import pytest
 from bergesat import engine, saturation
 from bergesat.core import Hypergraph, add_edge, count_missing_edges, missing_edges
 from bergesat.constructions import build_c_k_4, build_c_k_ell, build_s
+from bergesat.engine import SearchConstraints, find_berge_witness
 from bergesat.invariants import make_clique, make_cycle, make_path, make_star
 from bergesat.oracle import orbit_representatives, saturation_violations
 from bergesat.saturation import (
     all_cores_present,
     all_pairs_good,
+    all_subsets_are_cores,
     is_berge_free,
     is_saturated,
 )
@@ -560,3 +562,136 @@ class TestLemmaReports:
         h, _ = build_c_k_ell(3, 5)
         report = all_cores_present(h, 5)
         assert report.ok and report.checked == 5
+
+
+def core_failures(h: Hypergraph, m: int) -> list[tuple[int, ...]]:
+    """The m-sets that are the core set of no Berge K_m, by one public
+    search per set."""
+    f = make_clique(m)
+    return [s for s in itertools.combinations(range(h.n), m)
+            if find_berge_witness(f, h, SearchConstraints(required_core=s)) is None]
+
+
+def canonical(groups):
+    """The map from a set s to the member of its orbit that puts each swap
+    group's counts, in non-increasing order, on the group's first classes,
+    taking the first members of each."""
+    cls, members, group = groups
+    classes: dict[int, list[int]] = {}
+    for c, g in enumerate(group):
+        classes.setdefault(g, []).append(c)
+
+    def member(s: tuple[int, ...]) -> tuple[int, ...]:
+        counts = Counter(cls[v] for v in s)
+        out = []
+        for g in {group[c] for c in counts}:
+            ps = sorted((counts[c] for c in classes[g] if c in counts), reverse=True)
+            out += [v for c, p in zip(classes[g], ps) for v in members[c][:p]]
+        return tuple(sorted(out))
+
+    return member
+
+
+def swap_hosts():
+    """Hosts of the kinds ``TestSwapGroups`` checks: every sixth host of the
+    twin corpus, random block hosts, and the host whose classes of one size
+    and degree do not swap."""
+    rng = random.Random(80)
+    yield Hypergraph(10, ((0, 4, 5), (1, 4, 5), (2, 6, 7), (3, 6, 7), (0, 1, 8), (2, 3, 9)))
+    for h, _, _ in itertools.islice(twin_corpus(), 0, None, 6):
+        yield h
+    for k in (2, 3, 4):
+        for _ in range(12):
+            yield block_host(rng, k)
+
+
+class TestCoreCoverage:
+    """``all_subsets_are_cores`` searches one m-set per swap-group orbit."""
+
+    @pytest.fixture(scope="class")
+    def tight_cycle(self):
+        return build_c_k_4(3)[0]
+
+    def test_tight_cycle_triples(self, tight_cycle):
+        report = all_subsets_are_cores(tight_cycle, 3)
+        assert report.ok and report.checked == 10
+
+    def test_disjoint_edges_fail(self):
+        h = Hypergraph(6, ((0, 1, 2), (3, 4, 5)))
+        report = all_subsets_are_cores(h, 3)
+        assert not report.ok and (0, 1, 3) in report.failures
+
+    def test_subset_size_validated(self, tight_cycle):
+        with pytest.raises(ValueError):
+            all_subsets_are_cores(tight_cycle, 6)
+
+    def test_failures_past_the_cap_are_refused(self, monkeypatch):
+        # every one of the C(8, 3) = 56 triples of an empty host fails, and
+        # its 8 twins make them one orbit
+        empty = Hypergraph(8, ())
+        monkeypatch.setattr(saturation, "MAX_VIOLATIONS", 56)
+        assert len(all_subsets_are_cores(empty, 3).failures) == 56
+        searches = [0]
+        real_search = engine._search
+
+        def counting(*args, **kwargs):
+            searches[0] += 1
+            return real_search(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "_search", counting)
+        monkeypatch.setattr(saturation, "MAX_VIOLATIONS", 10)
+        with pytest.raises(ValueError, match="^56 violations exceed the cap of 10$"):
+            all_subsets_are_cores(empty, 3)
+        assert searches[0] == 1  # the orbit is counted before anything is listed
+
+    def test_sets_that_no_permutation_moves_count_toward_the_cap(self, monkeypatch):
+        # a tight path has no twins and no two classes that swap, so every
+        # failing triple is an orbit of its own: 32 of the 35 fail
+        path = Hypergraph(7, ((0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6)))
+        monkeypatch.setattr(saturation, "MAX_VIOLATIONS", 32)
+        assert all_subsets_are_cores(path, 3).failures == core_failures(path, 3)
+        monkeypatch.setattr(saturation, "MAX_VIOLATIONS", 31)
+        with pytest.raises(ValueError, match="^32 violations exceed the cap of 31$"):
+            all_subsets_are_cores(path, 3)
+
+    def test_seed_families_match_the_reference(self):
+        hosts = [(build_c_k_4(k)[0], 3) for k in (3, 4, 5)]
+        hosts += [(build_c_k_ell(k, ell)[0], ell - 1) for k in (3, 4) for ell in (5, 6)]
+        hosts += [(build_s(21, 3, 4)[0], 3), (build_s(22, 4, 5)[0], 4)]
+        for h, m in hosts:
+            report = all_subsets_are_cores(h, m)
+            assert report.failures == core_failures(h, m)
+            assert report.checked == comb(h.n, m)
+
+    def test_hosts_with_twins_match_the_reference(self):
+        rng = random.Random(81)
+        hosts = list(swap_hosts())
+        hosts += [twin_host(rng, (rng.choice((2, 3, 4)),)) for _ in range(60)]
+        assert len(hosts) >= 100
+        failed = 0
+        for h in hosts:
+            for m in (2, 3):
+                report = all_subsets_are_cores(h, m)
+                assert report.failures == core_failures(h, m)
+                assert report.checked == comb(h.n, m)
+                failed += len(report.failures)
+        assert failed > 1000
+
+    def test_one_canonical_representative_per_orbit(self, monkeypatch):
+        merged = 0
+        for h in swap_hosts():
+            groups = saturation._swap_groups(h)
+            merged += len(groups[1]) - len(set(groups[2]))
+            for m in (1, 2, 3, 4):
+                reps = [tuple(sorted(t)) for t in saturation._representatives(groups, m)]
+                every = list(itertools.combinations(range(h.n), m))
+                assert sorted(reps) == sorted(set(map(canonical(groups), every)))
+                # the orbits list every m-set once, and their counted sizes add
+                # up to C(n, m): the cap is passed only below that
+                monkeypatch.setattr(saturation, "MAX_VIOLATIONS", len(every))
+                assert saturation._expand(reps, groups) == every
+                monkeypatch.setattr(saturation, "MAX_VIOLATIONS", len(every) - 1)
+                with pytest.raises(ValueError, match=f"^{len(every)} violations exceed"):
+                    saturation._expand(reps, groups)
+        assert merged > 50  # many classes share a group with another
+
