@@ -45,7 +45,10 @@ already placed inside it qualifies, an edge with one endpoint placed inside
 needs one unused vertex of it, and an unplaced edge needs two.  For a
 complete pattern this is "fewer than two positions can still land inside".
 The prune removes only placements whose matching could never be rerouted
-onto the required edge, so the first witness found is unchanged.
+onto the required edge, so the first witness found is unchanged.  A vertex
+placed outside the required edge changes neither count, so where the next
+level would give up on it (after the last position: no placed edge inside),
+a position tries only vertices inside the edge, and required core vertices.
 
 A search with a required core looks ahead in the same way: each required
 vertex not yet placed needs an open position whose degree prefix of the host
@@ -425,8 +428,9 @@ class _Pattern:
         # fixing positions 0..j-1, so j bounds j'.  Where the budget left
         # that unproved, the others are dropped, which only weakens the
         # pruning.  above[i] counts the later positions forced after i
-        # through chains of less.
-        self.less = [max(bound, default=-1) for bound in _lex_leader_bounds(f, self.order)]
+        # through chains of less.  A complete pattern needs no search for them.
+        self.less = (list(range(-1, f.n - 1)) if self.unordered else
+                     [max(bound, default=-1) for bound in _lex_leader_bounds(f, self.order)])
         below = [0] * f.n  # bit j set: position j is forced before position i
         for i, j in enumerate(self.less):
             if j >= 0:
@@ -567,17 +571,18 @@ def _search(
                 return None
             if i and not all(r in used or open_position(r, i) for r in required_core):
                 return None
-        if prune:
-            if reach < nf:
-                free = rsize - in_req_edge
-                if not ((free and reach >= i) or (free >= 2 and i <= last_pair)):
-                    return None
+        if prune and reach < nf:
+            free = rsize - in_req_edge
+            if not ((free and reach >= i) or (free >= 2 and i <= last_pair)):
+                return None
+        inside_only = prune and reach < nf and not (
+            (free and reach > i) or (free >= 2 and i < last_pair))  # level i + 1 gives up
         # lex-leader: start after the host position of less[i], and leave
         # room for the later positions forced after i, which share its limit
         back_i = back[i]
         for p in range(placed_at[less[i]] + 1, limit[i] - above[i]):
             w = host[p]
-            if w in used:
+            if w in used or inside_only and w not in rset and w not in required_core:
                 continue
             # snapshot only before the first push: a candidate turned down by
             # an empty supply has changed nothing

@@ -90,7 +90,7 @@ def greedy_saturate(h: Hypergraph, f: Graph, k: int, order=None) -> Hypergraph:
         candidates = missing_edges(h, k)
     else:
         candidates = (_as_edge(e, h.n) for e in order)
-    scan = saturation._Scan(h, f, k)
+    scan = saturation._Scan(h, f, k, saturation._swap_groups(h))
     accept = scan.accept
     for t in candidates:
         accept(t)

@@ -36,10 +36,15 @@ steps to the next twin of its last vertex or to the head of a later class,
 and is extended only while none of its pairs is known good.  Each multiset
 is decided once, on its least member.  Orbit mode reports the violating
 least members in multiset order; full mode lists every k-set of their
-multisets, sorted (``_expand``).  Greedy completion grows its host, which
-can part twins, so it keys pairs by vertex; adding edges keeps every copy,
-so a good pair stays good, while a bad mark is dropped as soon as its k-set
-is added (``_Scan.accept``).
+multisets, sorted (``_expand``).  Greedy completion re-keys after each edge
+t it adds (``_Scan.accept``).  A class that t meets splits into its members
+inside and outside t, which leave its group.  Other classes keep their keys:
+a swap of two classes that miss t fixes t.  A part joins the group of a class
+it swaps with, or starts one, so the groups are those of ``_swap_groups`` on
+the new host.  A good pair stays good, so a part's pairs inherit the good
+marks of its class's pairs; bad marks are dropped.  A group left with one
+class of its own that a part joins drops its mark across classes, proved on
+a class that left.
 
 Being a core set is kept by automorphisms too, so ``all_subsets_are_cores``
 searches one m-set per orbit of the group permutations above: the sets with
@@ -191,16 +196,15 @@ def _pair_key(ka: tuple[int, int], kb: tuple[int, int]) -> tuple[int, int, bool]
 class _Scan:
     """One scan's state: the indexed host, the prepared pattern, the vertex
     keys, the twin class members and the pair memo.  ``groups`` is
-    ``_swap_groups(h)``; ``None`` gives each vertex a class and a group of
-    its own, as greedy completion needs: its host grows, so twins may part."""
+    ``_swap_groups(h)``, whose members list ``accept`` extends."""
 
-    def __init__(self, h: Hypergraph, f: Graph, k: int, groups=None) -> None:
+    def __init__(self, h: Hypergraph, f: Graph, k: int, groups) -> None:
         self.index = engine._Index(h)
         self.pattern = engine._prepared(f) if f.n <= h.n else None  # None: no copy fits
         self.k = k
-        cls, self.members, group = groups or (range(h.n), [[v] for v in range(h.n)], range(h.n))
-        class_key = [(g, c) for c, g in enumerate(group)]  # the members of a class share one tuple
-        self.key = [class_key[c] for c in cls]
+        cls, self.members, group = groups
+        self.key = [(group[c], c) for c in cls]
+        self.fresh = itertools.count(len(group))  # group numbers not yet used
         self.good: set[tuple[int, int, bool]] = set()
         self.bad: set[tuple[int, int, bool]] = set()
 
@@ -277,11 +281,39 @@ class _Scan:
         return out
 
     def accept(self, t: Edge) -> None:
-        """Greedy's step: if ``t`` is missing and creates no new copy, add it
-        and drop the bad marks, as an added edge can make a bad pair good."""
-        if t not in self.index.id_of and not self.creates_new(t):
-            self.index.add(t)
-            self.bad.clear()
+        """Greedy's step: add ``t`` if it is missing and creates no new copy,
+        then drop the bad marks and re-key (see the module docstring)."""
+        index, key, members, good = self.index, self.key, self.members, self.good
+        if t in index.id_of or self.creates_new(t):
+            return
+        index.add(t)
+        self.bad.clear()
+        touched = {key[v][1]: key[v] for v in t}
+        classes = [key[m[0]] for m in members if m]
+        carried = [(c, kd[1]) for c, kc in touched.items() for kd in classes
+                   if _pair_key(kc, kd) in good]
+        rep = {g: d for g, d in classes if d not in touched}  # a class that stays in each group
+        parts: dict[int, list[int]] = {}
+        for c in touched:
+            members.append([v for v in members[c] if v in t])
+            members[c] = [v for v in members[c] if v not in t]
+            parts[c] = [len(members) - 1] + ([c] if members[c] else [])
+        deg = index.deg
+        for p in itertools.chain(*parts.values()):
+            m = members[p]
+            g = next((g for g, d in rep.items() if deg[members[d][0]] == deg[m[0]]
+                      and _swaps(m, members[d], index.edges, index.id_of)), None)
+            if g is None:
+                g = next(self.fresh)
+                rep[g] = p
+            elif sum(gd == g and d not in touched for gd, d in classes) == 1:
+                good.discard((g, g, False))
+            for v in m:
+                key[v] = (g, p)
+        for c, d in carried:
+            for a, b in itertools.product(parts[c], parts.get(d, (d,))):
+                if a != b or len(members[a]) > 1:
+                    good.add(_pair_key(key[members[a][0]], key[members[b][0]]))
 
 
 def _expand(found: Iterable[Edge], groups) -> list[Edge]:
@@ -418,13 +450,6 @@ def _swap_groups(h: Hypergraph) -> tuple[list[int], list[list[int]], list[int]]:
             if members[cls[v]][0] == v:
                 meets[cls[v]].append(e)
     edges = h.edge_set()
-
-    def swaps(c: int, d: int) -> bool:
-        image = dict(zip(members[c], members[d]))
-        image.update(zip(members[d], members[c]))
-        return all(tuple(sorted(image.get(v, v) for v in e)) in edges
-                   for e in itertools.chain(meets[c], meets[d]))
-
     deg = h.degrees()
     group: list[int] = []
     firsts: dict[tuple, list[int]] = {}  # signature -> first class of each group
@@ -432,7 +457,8 @@ def _swap_groups(h: Hypergraph) -> tuple[list[int], list[list[int]], list[int]]:
     for c in range(len(members)):
         mates = sorted(deg[v] for e in meets[c] for v in e)
         same = firsts.setdefault((len(members[c]), len(meets[c]), *mates), [])
-        first = next((f for f in same if swaps(f, c)), None)
+        first = next((f for f in same if _swaps(members[f], members[c],
+                                                  meets[f] + meets[c], edges)), None)
         if first is None:
             same.append(c)
             group.append(count)
@@ -440,6 +466,15 @@ def _swap_groups(h: Hypergraph) -> tuple[list[int], list[list[int]], list[int]]:
         else:
             group.append(group[first])
     return cls, members, group
+
+
+def _swaps(cm: list[int], dm: list[int], edges: Iterable[Edge], present) -> bool:
+    """Whether swapping the twin classes ``cm`` and ``dm`` in increasing order
+    maps each of ``edges`` that meets them into ``present``."""
+    image = dict(zip(cm, dm))
+    image.update(zip(dm, cm))
+    return len(cm) == len(dm) and all(tuple(sorted(image.get(v, v) for v in e)) in present
+                                      for e in edges if cm[0] in e or dm[0] in e)
 
 
 def _count_class_multisets(cls: list[int], k: int) -> int:

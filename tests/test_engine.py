@@ -261,6 +261,19 @@ class TestRequiredEdgePrune:
         assert all(found)
         assert pushes[0] < 1000
 
+    def test_candidates_outside_the_edge_skipped_where_the_next_level_gives_up(
+            self, monkeypatch):
+        # these 42 probes make 533 pushes, and 817 when a position tries
+        # vertices outside the required edge that the next level rejects
+        h = build_s(40, 3, 4)[0]
+        index = engine._Index(h)
+        pattern = engine._Pattern(K4)
+        probes = list(itertools.islice(missing_edges(h, 3), 0, 4000, 97))
+        pushes = _count(monkeypatch, "push")
+        found = [engine._search(index, pattern, required_edge=t) for t in probes]
+        assert all(found)
+        assert pushes[0] < 650
+
     def test_snapshot_taken_only_before_a_push(self, monkeypatch):
         # clique probes and plain searches, which the prune does not touch:
         # 1,014 snapshots, and 1,957 with one snapshot per candidate
@@ -453,15 +466,30 @@ class TestLexLeaderBounds:
         # C5: the vertex at position 0 maps anywhere; then one reflection is left
         assert engine._Pattern(make_cycle(5)).less == [-1, 0, 0, 0, 1]
 
-    def test_search_without_bounds_gives_identical_witnesses(self, monkeypatch):
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_clique_bounds_are_those_the_search_finds(self, n):
+        f = make_clique(n)
+        pattern = engine._Pattern(f)
+        bounds = engine._lex_leader_bounds(f, pattern.order)
+        assert pattern.less == [max(bound, default=-1) for bound in bounds]
+        assert pattern.above == [n - 1 - i for i in range(n)]
+
+    def test_clique_bounds_need_no_symmetry_search(self, monkeypatch):
+        calls = []
+        for name in ("_automorphism", "_refine"):
+            monkeypatch.setattr(engine, name, lambda *args, name=name: calls.append(name))
+        pattern = engine._Pattern(make_clique(300))
+        assert pattern.less == list(range(-1, 299)) and not calls
+
+    def test_search_without_bounds_gives_identical_witnesses(self):
         # the lex-leader bounds keep the least valid placement, so every
         # witness and verdict matches a search with the bounds left out
         rng = random.Random(1301)
         patterns = CORPUS_PATTERNS + SYMMETRIC_SHAPES
         pruned = [engine._Pattern(f) for f in patterns]
-        monkeypatch.setattr(engine, "_lex_leader_bounds", lambda f, order: [[] for _ in order])
         plain = [engine._Pattern(f) for f in patterns]
-        assert all(p.less == [-1] * p.nf and not any(p.above) for p in plain)
+        for p in plain:
+            p.less, p.above = [-1] * p.nf, [0] * p.nf
         verdicts = {True: 0, False: 0}
         for _ in range(90):
             h = random_hypergraph(rng, max_vertices=9, max_edges=10)

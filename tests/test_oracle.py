@@ -8,7 +8,7 @@ import pytest
 
 from bergesat import engine, saturation
 from bergesat.core import Hypergraph, add_edge, missing_edges
-from bergesat.constructions import build_h_feedback, build_h_min_deg
+from bergesat.constructions import build_h_feedback, build_h_min_deg, build_s
 from bergesat.engine import contains_berge, creates_new_berge
 from bergesat.invariants import make_clique, make_cycle, make_path, make_star
 from bergesat.oracle import (
@@ -148,19 +148,21 @@ class TestGreedyAgainstReference:
         greedy_saturate(empty, K4, 3)
         assert 0 < calls["before_certify"] < candidates // 2
 
-    # (start, pattern, probes, edges of the result, sha256 of the repr of the
-    # list of probed k-sets), the probes counted until the final certification
+    # (start, pattern, probes when each vertex was keyed alone, probes now,
+    # edges of the result, sha256 of the repr of the list of probed k-sets),
+    # the probes counted until the final certification
     PINNED_PROBES = {
         "feedback C5": (lambda: build_h_feedback(40, 3, 3, make_cycle(5))[0], make_cycle(5),
-                        718, 28,
-                        "ca1c4335c3b301f20af964ef920ffa3810b45cd5b145c002a7b478b3170ec659"),
-        "empty K4": (lambda: Hypergraph(14, ()), K4, 99, 23,
-                     "49bdaa57650967725c20dd2b460fb14ce2847b75aba2e1721fdb80b61811dc14"),
+                        718, 315, 28,
+                        "79ba55cd1bf53e845753c3fdcf40cf629bcb25e83c860ebdf2a9127a896cddd7"),
+        "empty K4": (lambda: Hypergraph(14, ()), K4, 99, 26, 23,
+                     "1dd6694e0cba3e82a40d2b59edb4693becdbcef70eeb40e142b3dc75e6e9506a"),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED_PROBES))
     def test_probe_sequence_is_pinned(self, monkeypatch, name):
-        start, f, probes, edges, digest = self.PINNED_PROBES[name]
+        start, f, before, probes, edges, digest = self.PINNED_PROBES[name]
+        assert probes <= before
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the feedback host's a == k is flagged
             h = start()
@@ -218,6 +220,107 @@ class TestGreedyAgainstReference:
         order = list(itertools.islice(missing_edges(Hypergraph(5, ()), 3), 2)) + [bad]
         with pytest.raises(ValueError):
             greedy_saturate(Hypergraph(5, ()), K3, 3, order=order)
+
+
+def symmetric_greedy_corpus():
+    """Greedy starts rich in twins and swaps, as (start, pattern, k, order):
+    empty starts and disjoint copies of one block, in lexicographic and
+    shuffled order, S(n,3,4) less some edges, and feedback and min-degree
+    starts."""
+    rng = random.Random(1717)
+    for k in (2, 3):
+        for f in GREEDY_PATTERNS:
+            for _ in range(2):
+                n = rng.randint(k + 3, 9)
+                size = rng.randint(k, 4)
+                block = {tuple(sorted(rng.sample(range(size), k))) for _ in range(rng.randint(0, 2))}
+                copies = tuple(sorted(tuple(v + s for v in e)
+                                      for s in range(0, n - size + 1, size) for e in block))
+                for h in (Hypergraph(n, ()), Hypergraph(n, copies)):
+                    if contains_berge(f, h):
+                        continue
+                    order = list(missing_edges(h, k))
+                    rng.shuffle(order)
+                    yield h, f, k, None
+                    yield h, f, k, order
+    # orders in which a class joins a group whose other classes all left it
+    # after a pair across them was proved good
+    for seed in (35, 77, 134):
+        order = list(missing_edges(Hypergraph(6, ()), 2))
+        random.Random(seed).shuffle(order)
+        yield Hypergraph(6, ()), K3, 2, order
+    for n, removed in ((14, 1), (14, 3), (17, 2)):
+        s = build_s(n, 3, 4)[0]
+        drop = rng.sample(s.edges, removed)
+        yield Hypergraph(n, tuple(e for e in s.edges if e not in drop)), K4, 3, None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the feedback host's a == k is flagged
+        yield build_h_feedback(20, 3, 3, make_cycle(5))[0], make_cycle(5), 3, None
+    yield build_h_min_deg(12, 3, K4)[0], K4, 3, None
+
+
+def _pair_keys(scan):
+    """The pair key of every pair of vertices in ``scan``."""
+    key = scan.key
+    return {p: saturation._pair_key(key[p[0]], key[p[1]])
+            for p in itertools.combinations(range(len(key)), 2)}
+
+
+def _same_blocks(a, b):
+    """Whether the labellings ``a`` and ``b`` of range(n) part it alike."""
+    return len(set(a)) == len(set(b)) == len(set(zip(a, b)))
+
+
+def _pair_orbits(h):
+    """The orbit of each pair under every automorphism of ``h``, by brute
+    force over all permutations."""
+    edges = h.edge_set()
+    auts = [g for g in itertools.permutations(range(h.n))
+            if all(tuple(sorted(g[v] for v in e)) in edges for e in h.edges)]
+    return {p: min(tuple(sorted((g[p[0]], g[p[1]]))) for g in auts)
+            for p in itertools.combinations(range(h.n), 2)}
+
+
+class TestGreedyByOrbits:
+    """Greedy keys pairs by the swap groups of its growing host: after each
+    accepted edge the keys are those of the new host, pairs of one key lie
+    in one orbit, and the good marks are the new keys of the pairs good
+    before."""
+
+    def test_results_match_slow_loop(self):
+        for h, f, k, order in symmetric_greedy_corpus():
+            assert greedy_saturate(h, f, k, order).edges == reference_greedy(h, f, k, order).edges
+
+    def test_keys_follow_each_accepted_edge(self, monkeypatch):
+        real_accept = saturation._Scan.accept
+        accepted = [0]
+
+        def checked_accept(scan, t):
+            before = _pair_keys(scan)
+            good_before = {p for p, key in before.items() if key in scan.good}
+            size = len(scan.index.edges)
+            real_accept(scan, t)
+            if len(scan.index.edges) == size:
+                return
+            accepted[0] += 1
+            n = len(scan.key)
+            h = Hypergraph(n, tuple(sorted(scan.index.edges)))
+            cls, _, group = saturation._swap_groups(h)
+            assert _same_blocks([scan.key[v][1] for v in range(n)], cls)
+            assert _same_blocks([scan.key[v][0] for v in range(n)], [group[c] for c in cls])
+            after = _pair_keys(scan)
+            assert {key for key in after.values() if key in scan.good} == \
+                {after[p] for p in good_before}
+            if n <= 7:
+                orbit = _pair_orbits(h)
+                first: dict = {}
+                for p, key in after.items():
+                    assert orbit[first.setdefault(key, p)] == orbit[p], (h, p, key)
+
+        monkeypatch.setattr(saturation._Scan, "accept", checked_accept)
+        for h, f, k, order in symmetric_greedy_corpus():
+            greedy_saturate(h, f, k, order)
+        assert accepted[0] > 500
 
 
 class TestOrbitRepresentatives:
