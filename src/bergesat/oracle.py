@@ -5,7 +5,7 @@ the pattern vertices and, per injection, every assignment of distinct
 hyperedges to pattern edges -- no matching machinery, so it is an
 independent ground truth for the fast engine.  ``saturation_violations``
 probes every missing k-set on its own, the reference for the verifier's
-pair memo; ``orbit_representatives`` lists the k-sets orbit mode checks.
+pair memo; ``orbit_representatives`` lists the k-sets orbit mode reports.
 ``min_saturation_search`` enumerates all edge subsets of bounded size and
 is the ground truth for saturation numbers on tiny instances.
 """
@@ -63,9 +63,9 @@ def saturation_violations(h: Hypergraph, f: Graph, k: int) -> list[tuple[int, ..
 
 
 def orbit_representatives(h: Hypergraph, k: int) -> list[tuple[int, ...]]:
-    """The missing k-sets orbit mode checks: those that hold, with each
-    vertex, every smaller twin (a vertex in the same edges), sorted by the
-    least vertices of the twin classes they meet."""
+    """The missing k-sets orbit mode reports when they create no new copy:
+    those that hold, with each vertex, every smaller twin (a vertex in the
+    same edges), sorted by the least vertices of the twin classes they meet."""
     incident = [tuple(i for i, e in enumerate(h.edges) if v in e) for v in range(h.n)]
     least = [incident.index(inc) for inc in incident]
     reps = [t for t in missing_edges(h, k)

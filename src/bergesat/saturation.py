@@ -2,7 +2,7 @@
 
 The verifier treats the hypergraph as opaque.  Full mode decides every
 missing k-set and is the only mode that certifies saturation.  Sampled mode
-probes a seeded uniform sample of missing k-sets.  Orbit mode checks one
+probes a seeded uniform sample of missing k-sets.  Orbit mode reports one
 missing k-set per multiset of twin classes -- a sanity pass that is not a
 certificate.
 
@@ -28,39 +28,41 @@ classes fall into swap groups, and any permutation of the classes of a
 group, with twins permuted freely inside each class, is an automorphism.
 Two pairs whose ends lie in the same two groups, both in one class or both
 in two classes, are thus in one orbit: one memo entry per key decides all
-of its pairs.  The members of one multiset of twin classes differ by a
-permutation of twins, so they are decided alike, and an edge, which holds
-each class it meets, is the only member of its multiset.  Full mode, orbit
-mode and ``all_pairs_good`` run one scan over class multisets: a prefix
-steps to the next twin of its last vertex or to the head of a later class,
-and is extended only while none of its pairs is known good.  Each multiset
-is decided once, on its least member.  Orbit mode reports the violating
-least members in multiset order; full mode lists every k-set of their
-multisets, sorted (``_expand``).  Greedy completion re-keys after each edge
-t it adds (``_Scan.accept``).  A class that t meets splits into its members
-inside and outside t, which leave its group.  Other classes keep their keys:
-a swap of two classes that miss t fixes t.  A part joins the group of a class
-it swaps with, or starts one, so the groups are those of ``_swap_groups`` on
-the new host.  A good pair stays good, so a part's pairs inherit the good
-marks of its class's pairs; bad marks are dropped.  A group left with one
-class of its own that a part joins drops its mark across classes, proved on
-a class that left.
+of its pairs.
 
-Being a core set is kept by automorphisms too, so ``all_subsets_are_cores``
-searches one m-set per orbit of the group permutations above: the sets with
-the same counts on the classes of each group.  ``_expand`` lists every
-report from its orbits' representatives, counting each orbit first, and
+Sets are decided by orbit too: two sets with the same counts on the classes
+of each group lie in one orbit of these permutations, and are decided
+alike.  An edge's orbit holds only edges.  Full mode, orbit mode,
+``all_pairs_good`` and ``all_subsets_are_cores`` walk one set per orbit
+(``_representatives``): it meets groups in increasing order, on each its
+first classes with non-increasing counts, and on each class its first
+members.  A scan extends a prefix only while none of its pairs is known
+good, as every k-set through a good pair creates a new copy.  Full mode
+lists every k-set of the violating orbits, sorted (``_expand``); orbit mode
+lists the least member of each twin-class multiset of those orbits, which
+takes the first members of each class it meets, sorted by the class numbers
+of its vertices.  ``_expand`` counts each orbit before listing it and
 refuses with ``ValueError`` past ``MAX_VIOLATIONS`` sets.
+
+Greedy completion re-keys after each edge t it adds (``_Scan.accept``).  A
+class that t meets splits into its members inside and outside t, which
+leave its group.  Other classes keep their keys: a swap of two classes that
+miss t fixes t.  A part joins the group of a class it swaps with, or starts
+one, so the groups are those of ``_swap_groups`` on the new host.  A good
+pair stays good, so a part's pairs inherit the good marks of its class's
+pairs; bad marks are dropped.  A group left with one class of its own that
+a part joins drops its mark across classes, proved on a class that left.
 
 Missing-edge checks are pure, so they fan out over at most one worker
 process per CPU, started by the platform's default method, and merge
-deterministically: the report is identical for any worker count.  Each
-worker builds its own scan and returns only the violations of its task, in
-order.  A call in process builds a scan of its own too, so concurrent calls
-do not share one.  The count of checked sets is known without the scan:
-C(n, k) - |E| in full mode, the sample size in sampled mode, and in orbit
-mode the number of class multisets less |E|, as a class meeting an edge lies
-inside it.
+deterministically: the report is identical for any worker count.  A task is
+a chunk of the sample, or the orbits whose first group is one swap group.
+Each worker builds its own scan and returns only the violations of its
+task, in order.  A call in process builds a scan of its own too, so
+concurrent calls do not share one.  The count of checked sets is known
+without the scan: C(n, k) - |E| in full mode, the sample size in sampled
+mode, and in orbit mode the number of class multisets less |E|, as a class
+meeting an edge lies inside it.
 """
 
 from __future__ import annotations
@@ -131,9 +133,9 @@ def all_pairs_good(h: Hypergraph, ell: int) -> PairGoodnessReport:
     """Check every vertex pair not already present as a 2-edge: does adding
     it create a new Berge clique on ``ell`` vertices?  Raises ``ValueError``
     rather than list more than ``MAX_VIOLATIONS`` failures."""
-    groups = cls, members, _ = _swap_groups(h)
-    found = _run_tasks(h, make_clique(ell), 2, groups, _Scan.first, range(len(members)), 1)
-    failures = _expand(found, (cls, members, range(len(members))))
+    groups = _swap_groups(h)
+    found = _run_tasks(h, make_clique(ell), 2, groups, _Scan.first, range(len(set(groups[2]))), 1)
+    failures = _expand(found, groups)
     checked = count_missing_edges(h, 2)
     return PairGoodnessReport(checked=checked, good=checked - len(failures),
                               failures=failures)
@@ -196,12 +198,14 @@ def _pair_key(ka: tuple[int, int], kb: tuple[int, int]) -> tuple[int, int, bool]
 class _Scan:
     """One scan's state: the indexed host, the prepared pattern, the vertex
     keys, the twin class members and the pair memo.  ``groups`` is
-    ``_swap_groups(h)``, whose members list ``accept`` extends."""
+    ``_swap_groups(h)``, which ``first`` walks on the host as given and
+    whose members list ``accept`` extends."""
 
     def __init__(self, h: Hypergraph, f: Graph, k: int, groups) -> None:
         self.index = engine._Index(h)
         self.pattern = engine._prepared(f) if f.n <= h.n else None  # None: no copy fits
         self.k = k
+        self.groups = groups
         cls, self.members, group = groups
         self.key = [(group[c], c) for c in cls]
         self.fresh = itertools.count(len(group))  # group numbers not yet used
@@ -236,49 +240,21 @@ class _Scan:
         """The missing k-sets, in order, that create no new Berge copy."""
         return [t for t in ksets if not self.creates_new(t)]
 
-    def first(self, c: int) -> list[Edge]:
-        """The least members of the class multisets whose least class is ``c``
-        that are missing and create no new Berge copy, in multiset order.
+    def first(self, g: int) -> list[Edge]:
+        """The representatives of the orbits whose first swap group is ``g``
+        that are missing and create no new Berge copy, in walk order.
 
-        A prefix steps to the next twin of its last vertex or to the head of a
-        later class, and is extended only while none of its pairs is known
-        good: every k-set through a good pair creates a new copy.
+        A prefix is extended only while none of its pairs is known good:
+        every k-set through a good pair creates a new copy.
         """
-        k, key, good, members = self.k, self.key, self.good, self.members
-        creates_new, present = self.creates_new, self.index.id_of
-        out: list[Edge] = []
+        key, good, present = self.key, self.good, self.index.id_of
 
-        def grow(t: Edge) -> None:
-            if len(t) == k:
-                t = tuple(sorted(t))
-                if t not in present and not creates_new(t):
-                    out.append(t)
-                return
-            keys = [key[v] for v in t]
-            last = keys[-1][1]
-            i = sum(d == last for _, d in keys)  # t holds the first i twins of its last class
-            # whether the head of a later class of group g makes a good pair with t
-            known: dict[int, bool] = {}
-            for v in itertools.chain(members[last][i: i + 1], (m[0] for m in members[last + 1:])):
-                g, d = kv = key[v]
-                if d == last:
-                    hit = any(_pair_key(ka, kv) in good for ka in keys)
-                else:
-                    hit = known.get(g)
-                    if hit is None:
-                        hit = known[g] = any(_pair_key(ka, (g, -1)) in good for ka in keys)
-                if hit:
-                    continue
-                size = len(good)
-                grow(t + (v,))
-                if len(good) != size:
-                    known.clear()
-                    # a witness below may have proved a pair of t itself good
-                    if any(_pair_key(ka, kb) in good for ka, kb in itertools.combinations(keys, 2)):
-                        return
+        def open_prefix(t: Edge) -> bool:
+            pairs = itertools.combinations(t, 2)
+            return good.isdisjoint(_pair_key(key[a], key[b]) for a, b in pairs)
 
-        grow((members[c][0],))
-        return out
+        found = (tuple(sorted(t)) for t in _representatives(self.groups, self.k, open_prefix, g))
+        return [t for t in found if t not in present and not self.creates_new(t)]
 
     def accept(self, t: Edge) -> None:
         """Greedy's step: add ``t`` if it is missing and creates no new copy,
@@ -316,10 +292,12 @@ class _Scan:
                     good.add(_pair_key(key[members[a][0]], key[members[b][0]]))
 
 
-def _expand(found: Iterable[Edge], groups) -> list[Edge]:
-    """Every set of the orbits of the representatives ``found``, sorted.
-    Each orbit is counted as it is read, so a lazy ``found`` is read no
-    further once the orbits pass ``MAX_VIOLATIONS``."""
+def _expand(found: Iterable[Edge], groups, least: bool = False) -> list[Edge]:
+    """Every set of the orbits of the representatives ``found``, sorted; or,
+    with ``least``, the least member of each twin-class multiset of those
+    orbits, sorted by the class numbers of its vertices.  Each orbit is
+    counted as it is read, so a lazy ``found`` is read no further once the
+    listing passes ``MAX_VIOLATIONS``."""
     cls, members, group = groups
     classes = _class_members(group)  # the classes of each group, in order
     fixed = [len(members[c]) == len(classes[g]) == 1 for c, g in enumerate(group)]
@@ -337,7 +315,9 @@ def _expand(found: Iterable[Edge], groups) -> list[Edge]:
             size, taken = 1, {}  # taken: the classes of each group given a count so far
             for (g, p), mult in orbit.items():
                 free = len(classes[g]) - taken.get(g, 0)
-                size *= comb(free, mult) * comb(len(members[classes[g][0]]), p) ** mult
+                size *= comb(free, mult)
+                if not least:  # each of those classes gives p of its members
+                    size *= comb(len(members[classes[g][0]]), p) ** mult
                 taken[g] = taken.get(g, 0) + mult
             total += size
             orbits.append(orbit)
@@ -349,31 +329,43 @@ def _expand(found: Iterable[Edge], groups) -> list[Edge]:
             ways = [(cs + chosen, ps + (p,) * mult) for cs, ps in ways for chosen in
                     itertools.combinations([c for c in classes[g] if c not in cs], mult)]
         for cs, ps in ways:
-            out.extend(tuple(sorted(itertools.chain(*part))) for part in itertools.product(
-                *map(itertools.combinations, map(members.__getitem__, cs), ps)))
+            if least:
+                out.append(tuple(sorted(v for c, p in zip(cs, ps) for v in members[c][:p])))
+            else:
+                out.extend(tuple(sorted(itertools.chain(*part))) for part in itertools.product(
+                    *map(itertools.combinations, map(members.__getitem__, cs), ps)))
+    if least:
+        return sorted(out, key=lambda t: sorted(cls[v] for v in t))
     return sorted(out)
 
 
-def _representatives(groups, m: int) -> Iterator[Edge]:
+def _representatives(groups, m: int, keep=lambda t: True,
+                     start: int | None = None) -> Iterator[Edge]:
     """One set of m >= 1 vertices per orbit of ``_expand``, lazily: it meets
     groups in increasing order, on each its first classes with
-    non-increasing counts, and on each class its first members."""
+    non-increasing counts, and on each class its first members.  A prefix
+    for which ``keep`` is false is not extended; ``start`` keeps only the
+    sets whose first group it is."""
     gm = [[groups[1][c] for c in cs] for cs in _class_members(groups[2])]  # members by group
 
     def grow(t: Edge, g: int, j: int, i: int, cap: int) -> Iterator[Edge]:
         # t ends with the first i members of class j of group g, which may hold
-        # cap; the next class of g may hold i.  An empty t only starts a group.
+        # cap; the next class of g may hold i
+        if not keep(t):
+            return
         if len(t) == m:
             yield t
             return
         if i < cap:
             yield from grow(t + (gm[g][j][i],), g, j, i + 1, cap)
-        if i and j + 1 < len(gm[g]):
+        if j + 1 < len(gm[g]):
             yield from grow(t + (gm[g][j + 1][0],), g, j + 1, 1, i)
         for d in range(g + 1, len(gm)):
             yield from grow(t + (gm[d][0][0],), d, 0, 1, len(gm[d][0]))
 
-    return grow((), -1, 0, 0, 0)
+    starts = range(len(gm)) if start is None else (start,)
+    return itertools.chain.from_iterable(
+        grow((gm[g][0][0],), g, 0, 1, len(gm[g][0])) for g in starts)
 
 
 _worker_scan: _Scan | None = None  # a pool worker process's own scan
@@ -538,8 +530,9 @@ def is_saturated(
     orbits: bool = False,
 ) -> SaturationReport:
     """Verify freeness, then check that missing k-sets create new Berge
-    copies of ``f``.  Full mode (the default) checks all of them, and raises
-    ``ValueError`` rather than list more than ``MAX_VIOLATIONS``."""
+    copies of ``f``.  Full mode (the default) checks all of them.  Full and
+    orbit modes raise ``ValueError`` rather than list more than
+    ``MAX_VIOLATIONS`` sets."""
     start = time.perf_counter()
     if not is_k_uniform(h, k):
         raise ValueError(f"hypergraph is not {k}-uniform")
@@ -547,25 +540,26 @@ def is_saturated(
         raise ValueError("sampled and orbit modes are mutually exclusive")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
+    if sample is not None and sample < 0:
+        raise ValueError("sample must be at least 0")
 
     free, witness = is_berge_free(h, f)
     mode = "orbits" if orbits else "full" if sample is None else "sampled"
     reduction = None
     groups = _swap_groups(h)
-    cls, members, _ = groups
     if mode == "sampled":
         ksets = _sample_missing(h, k, sample, seed)
         checked = len(ksets)
         tasks = [ksets[i: i + _LIST_CHUNK] for i in range(0, len(ksets), _LIST_CHUNK)]
         violations_sat = _run_tasks(h, f, k, groups, _Scan.listed, tasks, jobs)
     else:
-        violations_sat = _run_tasks(h, f, k, groups, _Scan.first, range(len(members)), jobs)
-        if mode == "orbits":
-            checked = _count_class_multisets(cls, k) - len(h.edges)
+        found = _run_tasks(h, f, k, groups, _Scan.first, range(len(set(groups[2]))), jobs)
+        violations_sat = _expand(found, groups, least=orbits)
+        if orbits:
+            checked = _count_class_multisets(groups[0], k) - len(h.edges)
             reduction = count_missing_edges(h, k) / checked if checked else None
         else:
             checked = count_missing_edges(h, k)
-            violations_sat = _expand(violations_sat, (cls, members, range(len(members))))
 
     return SaturationReport(
         is_free=free,

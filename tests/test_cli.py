@@ -198,6 +198,14 @@ class TestCheck:
         assert payload["mode"] == "sampled"
         assert payload["sample_count"] == 25 and payload["sample_seed"] == 3
 
+    def test_negative_sample_exit_two(self, capsys, s21_path):
+        code, out, err = run(
+            capsys, "check", "saturated",
+            "--hgraph", str(s21_path), "--clique", "4", "--k", "3", "--sample", "-1",
+        )
+        assert code == 2 and not out
+        assert err == "error: sample must be at least 0\n"
+
     def test_clique_larger_than_the_host_is_answered_at_once(self, capsys, s21_path):
         # no K_1000 fits in 21 vertices, so no missing triple creates one
         start = time.perf_counter()

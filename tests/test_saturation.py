@@ -10,10 +10,10 @@ import pytest
 
 from bergesat import engine, saturation
 from bergesat.core import Hypergraph, add_edge, count_missing_edges, missing_edges
-from bergesat.constructions import build_c_k_4, build_c_k_ell, build_s
+from bergesat.constructions import build_c_k_4, build_c_k_ell, build_h_feedback, build_s
 from bergesat.engine import SearchConstraints, find_berge_witness
 from bergesat.invariants import make_clique, make_cycle, make_path, make_star
-from bergesat.oracle import orbit_representatives, saturation_violations
+from bergesat.oracle import greedy_saturate, orbit_representatives, saturation_violations
 from bergesat.saturation import (
     all_cores_present,
     all_pairs_good,
@@ -112,12 +112,13 @@ class TestIsSaturated:
         monkeypatch.setattr(saturation.os, "cpu_count", lambda: 4)
         assert is_saturated(s21, K4, 3, jobs=100_000) == expected
         assert is_saturated(s21, K4, 3, jobs=3) == expected
-        # twin classes {0}, {1, 2} and {3, 4}, so three tasks
+        # twin classes {0}, {1, 2} and {3, 4}, the last two swap: two swap
+        # groups, so two tasks
         small = Hypergraph(5, ((0, 1, 2), (0, 3, 4)))
         assert is_saturated(small, K3, 3, jobs=100_000).checked_missing == 8
         monkeypatch.setattr(saturation.os, "cpu_count", lambda: None)
         assert is_saturated(s21, K4, 3, jobs=100_000) == expected
-        assert sizes == [4, 3, 3]
+        assert sizes == [4, 3, 2]
 
     def test_concurrent_calls_do_not_share_scan_state(self):
         # three threads verify different hosts at once, switching often; one
@@ -188,6 +189,13 @@ class TestIsSaturated:
         monkeypatch.setattr(saturation, "MAX_VIOLATIONS", comb(12, 3) - 1)
         with pytest.raises(ValueError, match="^220 violations exceed the cap of 219$"):
             is_saturated(small, K4, 3)
+        # orbit mode counts its list in class multisets: two here, in one orbit
+        two = Hypergraph(6, ((0, 1, 2), (3, 4, 5)))
+        monkeypatch.setattr(saturation, "MAX_VIOLATIONS", 2)
+        assert is_saturated(two, K4, 3, orbits=True).violations_sat == [(0, 1, 3), (0, 3, 4)]
+        monkeypatch.setattr(saturation, "MAX_VIOLATIONS", 1)
+        with pytest.raises(ValueError, match="^2 violations exceed the cap of 1$"):
+            is_saturated(two, K4, 3, orbits=True)
 
     def test_non_uniform_rejected(self):
         h = Hypergraph(5, ((0, 1, 2), (0, 1)))
@@ -197,6 +205,14 @@ class TestIsSaturated:
     def test_mode_conflict_rejected(self, s21):
         with pytest.raises(ValueError):
             is_saturated(s21, K4, 3, sample=5, orbits=True)
+
+    def test_negative_sample_rejected_before_any_search(self, monkeypatch, s21):
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched before validating the sample")
+
+        monkeypatch.setattr(engine, "_search", no_search)
+        with pytest.raises(ValueError, match="^sample must be at least 0$"):
+            is_saturated(s21, K4, 3, sample=-1)
 
     def test_spot_recheck_through_independent_path(self, s21):
         # certified saturation implies freeness breaks for any added edge
@@ -293,10 +309,12 @@ class TestAgainstReference:
         for h, f, k in itertools.chain(reference_corpus(), twin_corpus()):
             probed.clear()
             report = is_saturated(h, f, k, jobs=1)
-            reps = orbit_representatives(h, k)
             once = set(probed)
             assert len(once) == len(probed)
-            assert probed == [t for t in reps if t in once]  # in the reference's order
+            assert once <= set(orbit_representatives(h, k))  # least members of class multisets
+            groups = saturation._swap_groups(h)
+            walk = [tuple(sorted(t)) for t in saturation._representatives(groups, k)]
+            assert probed == [t for t in walk if t in once]  # in the orbit walk's order
             assert report.checked_missing == comb(h.n, k) - len(h.edges)
 
     def test_sampler_matches_indexing_the_missing_sets(self):
@@ -695,3 +713,79 @@ class TestCoreCoverage:
                     saturation._expand(reps, groups)
         assert merged > 50  # many classes share a group with another
 
+
+def s_minus_edges():
+    """S(n, k, ell) hosts, each less a few seeded edges, with their K_ell."""
+    rng = random.Random(83)
+    for n, k, ell in ((21, 3, 4), (30, 3, 4), (22, 4, 5)):
+        h = build_s(n, k, ell)[0]
+        for removed in (1, 3):
+            drop = set(rng.sample(range(len(h.edges)), removed))
+            yield Hypergraph(h.n, tuple(e for i, e in enumerate(h.edges) if i not in drop)), k, ell
+
+
+class TestOrbitWalk:
+    """Full mode, orbit mode and ``all_pairs_good`` decide one set per orbit
+    of the swap groups, walked by ``_representatives``."""
+
+    def test_every_mode_and_worker_count_matches_the_reference(self, monkeypatch):
+        monkeypatch.setattr(saturation, "_LIST_CHUNK", 16)  # sampled mode fans out too
+        hosts = [(h, len(h.edges[0]), len(h.edges[0]) + 1) for h in swap_hosts()]
+        hosts += list(s_minus_edges())
+        merged = violations = 0
+        for seed, (h, k, ell) in enumerate(hosts):
+            groups = saturation._swap_groups(h)
+            merged += len(groups[1]) - len(set(groups[2]))
+            f = make_clique(ell)
+            expected = saturation_violations(h, f, k)
+            bad = set(expected)
+            violations += len(expected)
+            reps = orbit_representatives(h, k)
+            picks = saturation._sample_missing(h, k, 40, seed)
+            for jobs in (1, 2):
+                assert is_saturated(h, f, k, jobs=jobs).violations_sat == expected
+                orbit = is_saturated(h, f, k, jobs=jobs, orbits=True)
+                assert orbit.violations_sat == [t for t in reps if t in bad]
+                assert orbit.checked_missing == len(reps)
+                sampled = is_saturated(h, f, k, jobs=jobs, sample=40, seed=seed)
+                assert sampled.violations_sat == [t for t in picks if t in bad]
+            if h.n <= 30:
+                assert all_pairs_good(h, ell).failures == saturation_violations(h, f, 2)
+        assert merged > 50 and violations > 1000
+
+    @pytest.fixture
+    def pair_keys(self, monkeypatch):
+        """Counts ``_pair_key`` calls: the walk's prefix checks and the scan's
+        lookups."""
+        calls = Counter()
+        real_pair_key = saturation._pair_key
+
+        def counting(*args):
+            calls["keys"] += 1
+            return real_pair_key(*args)
+
+        monkeypatch.setattr(saturation, "_pair_key", counting)
+        return calls
+
+    def test_walk_cost_does_not_grow_with_the_classes(self, pair_keys):
+        # S(1000,3,4) has 504 twin classes in 8 swap groups; the walk visits
+        # prefixes of orbits, so its pair keys are a few hundred (230 when
+        # measured), while a walk over twin-class multisets took 10,603
+        h = build_s(1000, 3, 4)[0]
+        groups = saturation._swap_groups(h)
+        assert (len(groups[1]), len(set(groups[2]))) == (504, 8)
+        assert is_saturated(h, K4, 3).saturated
+        assert 0 < pair_keys["keys"] <= 500
+        pair_keys.clear()
+        assert all_pairs_good(h, 4).checked == comb(1000, 2)
+        assert 0 < pair_keys["keys"] <= 200
+
+    def test_prefixes_through_a_good_pair_are_not_extended(self, pair_keys):
+        # the C5 completion of a 60-vertex feedback host has 59 twin classes
+        # in 44 swap groups; 9,032 pair keys when measured, 42,501 when every
+        # prefix is extended
+        c5 = make_cycle(5)
+        h = greedy_saturate(build_h_feedback(60, 3, 2, c5)[0], c5, 3)
+        pair_keys.clear()
+        assert is_saturated(h, c5, 3).saturated
+        assert 0 < pair_keys["keys"] <= 15_000
