@@ -571,12 +571,14 @@ def _search(
                 return None
             if i and not all(r in used or open_position(r, i) for r in required_core):
                 return None
+        inside_only = False
         if prune and reach < nf:
+            # the last level that can still place a pattern edge inside the required edge
             free = rsize - in_req_edge
-            if not ((free and reach >= i) or (free >= 2 and i <= last_pair)):
+            horizon = max(reach if free else -1, last_pair if free >= 2 else -1)
+            if i > horizon:
                 return None
-        inside_only = prune and reach < nf and not (
-            (free and reach > i) or (free >= 2 and i < last_pair))  # level i + 1 gives up
+            inside_only = i == horizon  # a vertex outside it leaves level i + 1 giving up
         # lex-leader: start after the host position of less[i], and leave
         # room for the later positions forced after i, which share its limit
         back_i = back[i]

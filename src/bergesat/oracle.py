@@ -78,19 +78,18 @@ def greedy_saturate(h: Hypergraph, f: Graph, k: int, order=None) -> Hypergraph:
     whenever the addition keeps the hypergraph Berge-free; the result is
     saturated, re-certified by a full verification before returning.
 
-    Candidates are decided as the verifier decides missing k-sets, by one
-    ``saturation._Scan`` whose host grows by each accepted edge
-    (``_Scan.accept``).  Only a caller-supplied order needs validating."""
+    The start's freeness and every candidate are decided as the verifier
+    decides them, by one ``saturation._Scan`` whose host grows by each
+    accepted edge (``_Scan.accept``).  Only a caller-supplied order needs validating."""
     if not is_k_uniform(h, k):
         raise ValueError(f"hypergraph is not {k}-uniform")
-    free, _ = saturation.is_berge_free(h, f)
-    if not free:
+    scan = saturation._Scan(h, f, k, saturation._swap_groups(h))
+    if scan.witness() is not None:
         raise ValueError("hypergraph already contains the pattern")
     if order is None:
         candidates = missing_edges(h, k)
     else:
         candidates = (_as_edge(e, h.n) for e in order)
-    scan = saturation._Scan(h, f, k, saturation._swap_groups(h))
     accept = scan.accept
     for t in candidates:
         accept(t)

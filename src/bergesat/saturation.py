@@ -53,21 +53,20 @@ pair stays good, so a part's pairs inherit the good marks of its class's
 pairs; bad marks are dropped.  A group left with one class of its own that
 a part joins drops its mark across classes, proved on a class that left.
 
-Missing-edge checks are pure, so they fan out over at most one worker
-process per CPU, started by the platform's default method, and merge
-deterministically: the report is identical for any worker count.  A task is
-a chunk of the sample, or the orbits whose first group is one swap group.
-Each worker builds its own scan and returns only the violations of its
-task, in order.  A call in process builds a scan of its own too, so
-concurrent calls do not share one.  The count of checked sets is known
-without the scan: C(n, k) - |E| in full mode, the sample size in sampled
-mode, and in orbit mode the number of class multisets less |E|, as a class
-meeting an edge lies inside it.
+``is_saturated`` decides freeness and its sets on one scan of its own, so
+concurrent calls do not share one; freeness is the scan's plain search
+(``_Scan.witness``).  Sampled mode probes its sample in process.  Full and
+orbit modes walk each first swap group's orbits (``_walk``), in process or
+over at most one worker process per CPU, started by the platform's default
+method.  Each worker builds its own scan and returns the violations of its
+groups, in order, so the report is identical for any worker count.  The
+count of checked sets is known without the scan: C(n, k) - |E| in full
+mode, the sample size in sampled mode, and in orbit mode the number of
+class multisets less |E|, as a class meeting an edge lies inside it.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import multiprocessing
 import os
@@ -86,7 +85,6 @@ from .invariants import make_clique
 
 Edge = tuple[int, ...]
 
-_LIST_CHUNK = 20_000  # sampled k-sets per work unit
 MAX_VIOLATIONS = 1_000_000  # sets a report may list; each is held in memory and printed
 
 
@@ -134,8 +132,7 @@ def all_pairs_good(h: Hypergraph, ell: int) -> PairGoodnessReport:
     it create a new Berge clique on ``ell`` vertices?  Raises ``ValueError``
     rather than list more than ``MAX_VIOLATIONS`` failures."""
     groups = _swap_groups(h)
-    found = _run_tasks(h, make_clique(ell), 2, groups, _Scan.first, range(len(set(groups[2]))), 1)
-    failures = _expand(found, groups)
+    failures = _expand(_walk(_Scan(h, make_clique(ell), 2, groups)), groups)
     checked = count_missing_edges(h, 2)
     return PairGoodnessReport(checked=checked, good=checked - len(failures),
                               failures=failures)
@@ -202,6 +199,7 @@ class _Scan:
     whose members list ``accept`` extends."""
 
     def __init__(self, h: Hypergraph, f: Graph, k: int, groups) -> None:
+        self.args = (h, f, k, groups)  # what a pool worker builds its own scan from
         self.index = engine._Index(h)
         self.pattern = engine._prepared(f) if f.n <= h.n else None  # None: no copy fits
         self.k = k
@@ -236,9 +234,9 @@ class _Scan:
         good.add(_pair_key(key[w.core_map[x]], key[w.core_map[y]]))
         return True
 
-    def listed(self, ksets: Iterable[Edge]) -> list[Edge]:
-        """The missing k-sets, in order, that create no new Berge copy."""
-        return [t for t in ksets if not self.creates_new(t)]
+    def witness(self) -> BergeWitness | None:
+        """The host's copy of the pattern that ``find_berge_witness`` finds."""
+        return engine._search(self.index, self.pattern)
 
     def first(self, g: int) -> list[Edge]:
         """The representatives of the orbits whose first swap group is ``g``
@@ -376,23 +374,21 @@ def _start_worker(h: Hypergraph, f: Graph, k: int, groups) -> None:
     _worker_scan = _Scan(h, f, k, groups)
 
 
-def _worker_task(method, task: int | list[Edge]) -> list[Edge]:
-    return method(_worker_scan, task)
+def _worker_first(g: int) -> list[Edge]:
+    return _worker_scan.first(g)
 
 
-def _run_tasks(h, f, k, groups, method, tasks, jobs) -> list[Edge]:
-    """Run the ``_Scan`` method ``method`` over ``tasks`` and merge the
-    violations in task order; ``groups`` is ``_swap_groups(h)``, computed
-    once for every worker."""
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    args = (h, f, k, groups)
+def _walk(scan: _Scan, jobs: int = 1) -> list[Edge]:
+    """``scan.first`` over every swap group, merged in group order: on
+    ``scan`` in process, or on at most ``jobs`` workers, one per CPU."""
+    starts = range(len(set(scan.groups[2])))
+    workers = min(jobs, len(starts), os.cpu_count() or 1)
     if workers <= 1:
-        scan = _Scan(*args)
-        results = [method(scan, t) for t in tasks]
+        results = map(scan.first, starts)
     else:
         ctx = multiprocessing.get_context(None)  # the platform's default method
-        with ctx.Pool(workers, initializer=_start_worker, initargs=args) as pool:
-            results = pool.map(functools.partial(_worker_task, method), tasks)
+        with ctx.Pool(workers, initializer=_start_worker, initargs=scan.args) as pool:
+            results = pool.map(_worker_first, starts)
     return [t for v in results for t in v]
 
 
@@ -532,7 +528,7 @@ def is_saturated(
     """Verify freeness, then check that missing k-sets create new Berge
     copies of ``f``.  Full mode (the default) checks all of them.  Full and
     orbit modes raise ``ValueError`` rather than list more than
-    ``MAX_VIOLATIONS`` sets."""
+    ``MAX_VIOLATIONS`` sets, and sampled mode rather than sample more."""
     start = time.perf_counter()
     if not is_k_uniform(h, k):
         raise ValueError(f"hypergraph is not {k}-uniform")
@@ -542,19 +538,20 @@ def is_saturated(
         raise ValueError("jobs must be at least 1")
     if sample is not None and sample < 0:
         raise ValueError("sample must be at least 0")
+    if sample is not None and sample > MAX_VIOLATIONS:
+        raise ValueError(f"sample {sample} exceeds the cap of {MAX_VIOLATIONS}")
 
-    free, witness = is_berge_free(h, f)
+    groups = _swap_groups(h)
+    scan = _Scan(h, f, k, groups)
+    witness = scan.witness()
     mode = "orbits" if orbits else "full" if sample is None else "sampled"
     reduction = None
-    groups = _swap_groups(h)
     if mode == "sampled":
         ksets = _sample_missing(h, k, sample, seed)
         checked = len(ksets)
-        tasks = [ksets[i: i + _LIST_CHUNK] for i in range(0, len(ksets), _LIST_CHUNK)]
-        violations_sat = _run_tasks(h, f, k, groups, _Scan.listed, tasks, jobs)
+        violations_sat = [t for t in ksets if not scan.creates_new(t)]
     else:
-        found = _run_tasks(h, f, k, groups, _Scan.first, range(len(set(groups[2]))), jobs)
-        violations_sat = _expand(found, groups, least=orbits)
+        violations_sat = _expand(_walk(scan, jobs), groups, least=orbits)
         if orbits:
             checked = _count_class_multisets(groups[0], k) - len(h.edges)
             reduction = count_missing_edges(h, k) / checked if checked else None
@@ -562,8 +559,8 @@ def is_saturated(
             checked = count_missing_edges(h, k)
 
     return SaturationReport(
-        is_free=free,
-        violations_free=[] if free else [witness],
+        is_free=witness is None,
+        violations_free=[] if witness is None else [witness],
         checked_missing=checked,
         violations_sat=violations_sat,
         mode=mode,

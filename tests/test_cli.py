@@ -206,6 +206,16 @@ class TestCheck:
         assert code == 2 and not out
         assert err == "error: sample must be at least 0\n"
 
+    def test_sample_past_the_cap_exit_two(self, capsys, tmp_path):
+        empty = tmp_path / "empty.hg"
+        empty.write_text("n 1000\n")
+        code, out, err = run(
+            capsys, "check", "saturated",
+            "--hgraph", str(empty), "--clique", "4", "--k", "3", "--sample", "1000001",
+        )
+        assert code == 2 and not out
+        assert err == "error: sample 1000001 exceeds the cap of 1000000\n"
+
     def test_clique_larger_than_the_host_is_answered_at_once(self, capsys, s21_path):
         # no K_1000 fits in 21 vertices, so no missing triple creates one
         start = time.perf_counter()

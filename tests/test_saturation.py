@@ -68,9 +68,7 @@ class TestIsSaturated:
     def test_worker_count_does_not_change_report(self, s21):
         assert is_saturated(s21, K4, 3, jobs=1) == is_saturated(s21, K4, 3, jobs=8)
 
-    def test_worker_count_does_not_change_violations(self, monkeypatch):
-        # small work units so that sampled mode really fans out
-        monkeypatch.setattr(saturation, "_LIST_CHUNK", 64)
+    def test_worker_count_does_not_change_violations(self):
         rng = random.Random(5)
         triples = list(itertools.combinations(range(16), 3))
         hosts = [
@@ -213,6 +211,73 @@ class TestIsSaturated:
         monkeypatch.setattr(engine, "_search", no_search)
         with pytest.raises(ValueError, match="^sample must be at least 0$"):
             is_saturated(s21, K4, 3, sample=-1)
+
+    def test_sample_past_the_cap_rejected_before_any_search(self, monkeypatch, s21):
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched before validating the sample")
+
+        monkeypatch.setattr(engine, "_search", no_search)
+        with pytest.raises(ValueError, match="^sample 1000001 exceeds the cap of 1000000$"):
+            is_saturated(s21, K4, 3, sample=saturation.MAX_VIOLATIONS + 1)
+        monkeypatch.setattr(saturation, "MAX_VIOLATIONS", 5)
+        with pytest.raises(ValueError, match="^sample 6 exceeds the cap of 5$"):
+            is_saturated(s21, K4, 3, sample=6)
+
+    def test_sample_at_the_cap_is_decided(self, monkeypatch, s21):
+        monkeypatch.setattr(saturation, "MAX_VIOLATIONS", 5)
+        report = is_saturated(s21, K4, 3, sample=5)
+        assert report.checked_missing == 5 and report.no_violations
+
+    def test_sampled_mode_never_starts_a_pool(self, monkeypatch):
+        def no_pool(method=None):
+            raise AssertionError("sampled mode started a pool")
+
+        s60 = build_s(60, 3, 4)[0]
+        expected = is_saturated(s60, K4, 3, sample=30_000, seed=2)
+        monkeypatch.setattr(saturation.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(saturation.multiprocessing, "get_context", no_pool)
+        assert is_saturated(s60, K4, 3, jobs=2, sample=30_000, seed=2) == expected
+
+    def test_each_call_indexes_its_host_once(self, monkeypatch, s21):
+        # freeness runs on the scan's own index; greedy's final full check
+        # builds its own, counted apart
+        built = []
+        real_init = engine._Index.__init__
+
+        def counting_init(self, h):
+            built.append(h)
+            real_init(self, h)
+
+        monkeypatch.setattr(engine._Index, "__init__", counting_init)
+        less = Hypergraph(s21.n, s21.edges[:-3])
+        for h, kw in ((s21, {}), (less, {}), (less, {"orbits": True}),
+                      (less, {"sample": 50}), (add_edge(s21, (2, 5, 7)), {})):
+            built.clear()
+            is_saturated(h, K4, 3, jobs=1, **kw)
+            assert built == [h]
+        real_check = saturation.is_saturated
+        final = []
+
+        def counted_check(*args, **kwargs):
+            before = len(built)
+            report = real_check(*args, **kwargs)
+            final.append(len(built) - before)
+            return report
+
+        monkeypatch.setattr(saturation, "is_saturated", counted_check)
+        built.clear()
+        greedy_saturate(less, K4, 3)
+        assert final == [1] and len(built) == 2 and built[0] == less
+
+    def test_freeness_witness_is_find_berge_witness(self):
+        found = 0
+        for h, f, k in reference_corpus():
+            witness = find_berge_witness(f, h)
+            if witness is not None:
+                report = is_saturated(h, f, k)
+                assert [w.serialize() for w in report.violations_free] == [witness.serialize()]
+                found += 1
+        assert found > 10
 
     def test_spot_recheck_through_independent_path(self, s21):
         # certified saturation implies freeness breaks for any added edge
@@ -384,8 +449,7 @@ def twin_corpus():
 class TestTwinClasses:
     """The verifier decides pairs through a memo keyed by twin classes."""
 
-    def test_every_mode_and_worker_count_matches_the_reference(self, monkeypatch):
-        monkeypatch.setattr(saturation, "_LIST_CHUNK", 16)  # sampled mode fans out too
+    def test_every_mode_and_worker_count_matches_the_reference(self):
         twins = 0
         for seed, (h, f, k) in enumerate(twin_corpus()):
             cls = saturation._twin_classes(h)
@@ -728,8 +792,7 @@ class TestOrbitWalk:
     """Full mode, orbit mode and ``all_pairs_good`` decide one set per orbit
     of the swap groups, walked by ``_representatives``."""
 
-    def test_every_mode_and_worker_count_matches_the_reference(self, monkeypatch):
-        monkeypatch.setattr(saturation, "_LIST_CHUNK", 16)  # sampled mode fans out too
+    def test_every_mode_and_worker_count_matches_the_reference(self):
         hosts = [(h, len(h.edges[0]), len(h.edges[0]) + 1) for h in swap_hosts()]
         hosts += list(s_minus_edges())
         merged = violations = 0
