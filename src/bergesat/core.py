@@ -8,6 +8,7 @@ worker processes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import comb
@@ -114,6 +115,11 @@ class Hypergraph:
         return hash((self.n, frozenset(self.edges)))
 
     def edge_set(self) -> frozenset[tuple[int, ...]]:
+        """The edges as a set, built on the first call and then kept."""
+        return self._edge_set
+
+    @functools.cached_property
+    def _edge_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.edges)
 
     def degrees(self) -> list[int]:

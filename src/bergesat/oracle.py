@@ -73,14 +73,25 @@ def orbit_representatives(h: Hypergraph, k: int) -> list[tuple[int, ...]]:
     return sorted(reps, key=lambda t: sorted(least[v] for v in t))
 
 
+def _k_set(e, n: int, k: int) -> tuple[int, ...]:
+    t = _as_edge(e, n)
+    if len(t) != k:
+        raise ValueError(f"candidate {t} is not a {k}-set")
+    return t
+
+
 def greedy_saturate(h: Hypergraph, f: Graph, k: int, order=None) -> Hypergraph:
     """Add missing k-edges in the given order (lexicographic by default)
     whenever the addition keeps the hypergraph Berge-free; the result is
-    saturated, re-certified by a full verification before returning.
+    certified saturated before it is returned, or ``RuntimeError`` is raised.
 
     The start's freeness and every candidate are decided as the verifier
     decides them, by one ``saturation._Scan`` whose host grows by each
-    accepted edge (``_Scan.accept``).  Only a caller-supplied order needs validating."""
+    accepted edge (``_Scan.accept``).  A caller-supplied candidate must be
+    a k-set of the host's vertices (``ValueError`` before it is probed).
+    The scan keeps the witness of each probe that rejected a candidate, and
+    ``saturation._certifies`` checks the result from those witnesses rather
+    than by a second full verification."""
     if not is_k_uniform(h, k):
         raise ValueError(f"hypergraph is not {k}-uniform")
     scan = saturation._Scan(h, f, k, saturation._swap_groups(h))
@@ -89,13 +100,13 @@ def greedy_saturate(h: Hypergraph, f: Graph, k: int, order=None) -> Hypergraph:
     if order is None:
         candidates = missing_edges(h, k)
     else:
-        candidates = (_as_edge(e, h.n) for e in order)
+        candidates = (_k_set(e, h.n, k) for e in order)
+    scan.proofs = []
     accept = scan.accept
     for t in candidates:
         accept(t)
     current = Hypergraph(h.n, tuple(scan.index.edges))
-    report = saturation.is_saturated(current, f, k)
-    if not report.saturated:
+    if not saturation._certifies(current, f, k, scan.proofs):
         raise RuntimeError("greedy completion failed to certify saturation")
     return current
 

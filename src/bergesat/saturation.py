@@ -53,6 +53,16 @@ pair stays good, so a part's pairs inherit the good marks of its class's
 pairs; bad marks are dropped.  A group left with one class of its own that
 a part joins drops its mark across classes, proved on a class that left.
 
+Greedy's scan keeps the witness of each probe that rejected a candidate
+t (``_Scan.proofs``), and its result is certified from them
+(``_certifies``) rather than by a second ``is_saturated``.  The witness is
+a copy in the result plus t, as the host only grew after the probe, so its
+pair stays good.  The check trusts neither the run's keys nor its marks:
+freeness is decided by a search, a fresh scan keys the result by
+``_swap_groups``, a key is marked good only from a witness that
+``engine.validate_witness`` accepts, and the orbit walk of full mode
+probes every orbit that no mark covers.
+
 ``is_saturated`` decides freeness and its sets on one scan of its own, so
 concurrent calls do not share one; freeness is the scan's plain search
 (``_Scan.witness``).  Sampled mode probes its sample in process.  Full and
@@ -68,7 +78,6 @@ class multisets less |E|, as a class meeting an edge lies inside it.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import os
 import random
 import time
@@ -209,6 +218,7 @@ class _Scan:
         self.fresh = itertools.count(len(group))  # group numbers not yet used
         self.good: set[tuple[int, int, bool]] = set()
         self.bad: set[tuple[int, int, bool]] = set()
+        self.proofs: list[tuple[Edge, BergeWitness]] | None = None  # greedy's kept witnesses
 
     def creates_new(self, t: Edge) -> bool:
         """Does adding the missing set ``t`` to the host create a new Berge copy?
@@ -218,7 +228,8 @@ class _Scan:
         probe when one of its pairs is known good, or when all of them are
         known bad.  Otherwise it is probed once: a witness marks good the key
         of the core images of the pattern edge it assigns to ``t``, and a
-        failure marks bad the key of every pair of ``t``.
+        failure marks bad the key of every pair of ``t``.  A scan that keeps
+        ``proofs`` appends each such (t, witness) to them.
         """
         key, good, bad = self.key, self.good, self.bad
         keys = [_pair_key(key[a], key[b]) for a, b in itertools.combinations(t, 2)]
@@ -232,6 +243,8 @@ class _Scan:
             return False
         x, y = next(fe for fe, e in w.edge_map.items() if e == t)
         good.add(_pair_key(key[w.core_map[x]], key[w.core_map[y]]))
+        if self.proofs is not None:
+            self.proofs.append((t, w))
         return True
 
     def witness(self) -> BergeWitness | None:
@@ -386,10 +399,44 @@ def _walk(scan: _Scan, jobs: int = 1) -> list[Edge]:
     if workers <= 1:
         results = map(scan.first, starts)
     else:
+        import multiprocessing  # here: the pool is rare, and its import slows every start
+
         ctx = multiprocessing.get_context(None)  # the platform's default method
         with ctx.Pool(workers, initializer=_start_worker, initargs=scan.args) as pool:
             results = pool.map(_worker_first, starts)
     return [t for v in results for t in v]
+
+
+def _certifies(h: Hypergraph, f: Graph, k: int,
+               proofs: list[tuple[Edge, BergeWitness]]) -> bool:
+    """Whether greedy's result ``h`` is free and saturated, checked from the
+    run's ``proofs``: each missing set t it rejected, with the witness of
+    the probe that rejected it (see the module docstring).
+
+    Each proof must pass ``engine.validate_witness`` and assign t to one
+    pattern edge and edges of ``h`` to the others, or the check fails; it
+    then marks good the key of that pattern edge's core images.  A missing
+    proof costs probes, never the answer.
+    """
+    scan = _Scan(h, f, k, _swap_groups(h))
+    if scan.witness() is not None:
+        return False
+    present = h.edge_set()
+    sets = list(dict.fromkeys(t for t, _ in proofs))
+    if not present.isdisjoint(sets):
+        return False
+    host = Hypergraph(h.n, h.edges + tuple(sets))  # one edge set for every validation
+    for t, w in proofs:
+        try:
+            engine.validate_witness(f, host, w)
+        except ValueError:
+            return False
+        outside = [fe for fe, e in w.edge_map.items() if tuple(sorted(e)) not in present]
+        if [tuple(sorted(w.edge_map[fe])) for fe in outside] != [t]:
+            return False
+        x, y = outside[0]
+        scan.good.add(_pair_key(scan.key[w.core_map[x]], scan.key[w.core_map[y]]))
+    return not _walk(scan)
 
 
 # ---------------------------------------------------------------------------

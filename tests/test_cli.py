@@ -368,13 +368,8 @@ class TestContract:
 
     def test_uncertified_greedy_exit_two(self, capsys, monkeypatch, tmp_path, k4_path,
                                          tight_cycle_path):
-        def uncertified(h, f, k):
-            return saturation.SaturationReport(
-                is_free=True, violations_free=[], checked_missing=1,
-                violations_sat=[(0, 1, 2)], mode="full",
-            )
-
-        monkeypatch.setattr(saturation, "is_saturated", uncertified)
+        # the certificate's orbit walk reports a violation
+        monkeypatch.setattr(saturation, "_walk", lambda scan: [(0, 1, 2)])
         code, out, err = run(capsys, "search", "greedy",
                              "--hgraph", str(tight_cycle_path), "--graph", str(k4_path),
                              "--k", "3", "-o", str(tmp_path / "done.hg"))

@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import itertools
 import random
+import re
 import warnings
 from math import ceil, comb
 
@@ -127,22 +129,22 @@ class TestGreedyAgainstReference:
                         assert got.edges == expected.edges
 
     def test_pair_shortcut_saves_probes(self, monkeypatch):
-        # probes on a candidate, counted until the final certification
+        # probes on a candidate, counted until the certificate check
         calls = {"probes": 0, "before_certify": None}
         real_search = engine._search
-        real_is_saturated = saturation.is_saturated
+        real_certifies = saturation._certifies
 
         def counting_search(*args, **kwargs):
             if kwargs.get("required_edge") is not None:
                 calls["probes"] += 1
             return real_search(*args, **kwargs)
 
-        def marking_is_saturated(*args, **kwargs):
+        def marking_certifies(*args, **kwargs):
             calls["before_certify"] = calls["probes"]
-            return real_is_saturated(*args, **kwargs)
+            return real_certifies(*args, **kwargs)
 
         monkeypatch.setattr(engine, "_search", counting_search)
-        monkeypatch.setattr(saturation, "is_saturated", marking_is_saturated)
+        monkeypatch.setattr(saturation, "_certifies", marking_certifies)
         empty = Hypergraph(12, ())
         candidates = comb(12, 3)
         greedy_saturate(empty, K4, 3)
@@ -150,7 +152,7 @@ class TestGreedyAgainstReference:
 
     # (start, pattern, probes when each vertex was keyed alone, probes now,
     # edges of the result, sha256 of the repr of the list of probed k-sets),
-    # the probes counted until the final certification
+    # the probes counted until the certificate check
     PINNED_PROBES = {
         "feedback C5": (lambda: build_h_feedback(40, 3, 3, make_cycle(5))[0], make_cycle(5),
                         718, 315, 28,
@@ -169,19 +171,19 @@ class TestGreedyAgainstReference:
         probed: list = []
         certifying = [False]
         real_search = engine._search
-        real_is_saturated = saturation.is_saturated
+        real_certifies = saturation._certifies
 
         def recording_search(*args, **kwargs):
             if kwargs.get("required_edge") is not None and not certifying[0]:
                 probed.append(kwargs["required_edge"])
             return real_search(*args, **kwargs)
 
-        def marking_is_saturated(*args, **kwargs):
+        def marking_certifies(*args, **kwargs):
             certifying[0] = True
-            return real_is_saturated(*args, **kwargs)
+            return real_certifies(*args, **kwargs)
 
         monkeypatch.setattr(engine, "_search", recording_search)
-        monkeypatch.setattr(saturation, "is_saturated", marking_is_saturated)
+        monkeypatch.setattr(saturation, "_certifies", marking_certifies)
         result = greedy_saturate(h, f, 3)
         assert (len(probed), len(result.edges)) == (probes, edges)
         assert hashlib.sha256(repr(probed).encode()).hexdigest() == digest
@@ -215,11 +217,114 @@ class TestGreedyAgainstReference:
             greedy_saturate(h, K3, 3)
         assert calls[0] == 0
 
-    @pytest.mark.parametrize("bad", [(0, 1, 5), (0, 1, -1), (2, 2, 3), (4,)])
+    @pytest.mark.parametrize("bad", [(0, 1, 5), (0, 1, -1), (2, 2, 3), (4,), (0, 1), (0, 1, 2, 3)])
     def test_invalid_candidate_rejected(self, bad):
         order = list(itertools.islice(missing_edges(Hypergraph(5, ()), 3), 2)) + [bad]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(str(tuple(sorted(bad))))):
             greedy_saturate(Hypergraph(5, ()), K3, 3, order=order)
+
+
+def feedback40():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the feedback host's a == k is flagged
+        return build_h_feedback(40, 3, 3, make_cycle(5))[0]
+
+
+class TestGreedyCertificate:
+    """Greedy's result is certified from the witnesses of the probes that
+    rejected its candidates (``saturation._certifies``): a wrong proof or a
+    host that is not free fails the check, and a missing proof costs probes."""
+
+    FAILED = "greedy completion failed to certify saturation"
+
+    @staticmethod
+    def certify_with(monkeypatch, change):
+        """Greedy on the n=40 feedback host with C5, its certificate check
+        given ``change(h, proofs)`` in place of (h, proofs); returns the
+        required-edge probes that check makes."""
+        probes = [0]
+        real_search = engine._search
+        real_certifies = saturation._certifies
+
+        def counting_search(*args, **kwargs):
+            probes[0] += kwargs.get("required_edge") is not None
+            return real_search(*args, **kwargs)
+
+        def changed(h, f, k, proofs):
+            h, proofs = change(h, proofs)
+            monkeypatch.setattr(engine, "_search", counting_search)
+            return real_certifies(h, f, k, proofs)
+
+        monkeypatch.setattr(saturation, "_certifies", changed)
+        result = greedy_saturate(feedback40(), make_cycle(5), 3)
+        return result, probes[0]
+
+    @pytest.mark.parametrize("n, f, count", [(5, K3, 1), (7, make_cycle(5), 7)])
+    def test_skipped_sets_fail(self, n, f, count):
+        # the first sets of the lexicographic order, the second with one rejected
+        order = list(itertools.islice(missing_edges(Hypergraph(n, ()), 3), count))
+        with pytest.raises(RuntimeError, match=self.FAILED):
+            greedy_saturate(Hypergraph(n, ()), f, 3, order=order)
+
+    def test_certified_from_own_witnesses(self, monkeypatch):
+        result, probes = self.certify_with(monkeypatch, lambda h, proofs: (h, proofs))
+        assert result == reference_greedy(feedback40(), make_cycle(5), 3)
+        assert probes <= 10
+
+    @pytest.mark.parametrize("onto", ["proof set", "missing set", "host edge"])
+    def test_tampered_witness_fails(self, monkeypatch, onto):
+        # one pattern edge of the first proof is moved onto another set
+        # through its core images: another proof's set (the host-edge check
+        # rejects it), a missing set that no proof names, or a host edge the
+        # witness already assigns (``validate_witness`` rejects both)
+        def tamper(h, proofs):
+            t, w = proofs[0]
+            sets = {s for s, _ in proofs}
+            pool = {"proof set": sets, "missing set": set(missing_edges(h, 3)) - sets,
+                    "host edge": set(w.edge_map.values()) - {t}}[onto]
+            for fe, e in w.edge_map.items():
+                ends = {w.core_map[fe[0]], w.core_map[fe[1]]}
+                moves = sorted(s for s in pool if ends <= set(s) and s not in (e, t))
+                if e != t and moves:
+                    bad = copy.deepcopy(w)
+                    bad.edge_map[fe] = moves[0]
+                    return h, [(t, bad)] + proofs[1:]
+            raise AssertionError("no set to move a pattern edge onto")
+
+        with pytest.raises(RuntimeError, match=self.FAILED):
+            self.certify_with(monkeypatch, tamper)
+
+    def test_proof_on_a_host_edge_fails(self, monkeypatch):
+        def on_edge(h, proofs):
+            return h, proofs + [(h.edges[0], proofs[0][1])]
+
+        with pytest.raises(RuntimeError, match=self.FAILED):
+            self.certify_with(monkeypatch, on_edge)
+
+    def test_host_that_is_not_free_fails(self, monkeypatch):
+        def extra_edge(h, proofs):
+            sets = {s for s, _ in proofs}
+            e = next(t for t in missing_edges(h, 3) if t not in sets)
+            return add_edge(h, e), proofs
+
+        with pytest.raises(RuntimeError, match=self.FAILED):
+            self.certify_with(monkeypatch, extra_edge)
+
+    @pytest.mark.parametrize("every", [False, True])
+    def test_dropped_proofs_are_probed(self, monkeypatch, every):
+        def pair_key(scan, w, t):
+            x, y = next(fe for fe, e in w.edge_map.items() if e == t)
+            return saturation._pair_key(scan.key[w.core_map[x]], scan.key[w.core_map[y]])
+
+        def drop_first_key(h, proofs):
+            # every proof of the first proof's key, as the certificate keys it
+            scan = saturation._Scan(h, make_cycle(5), 3, saturation._swap_groups(h))
+            first = pair_key(scan, proofs[0][1], proofs[0][0])
+            return h, [(t, w) for t, w in proofs if pair_key(scan, w, t) != first]
+
+        drop = (lambda h, proofs: (h, [])) if every else drop_first_key
+        result, probes = self.certify_with(monkeypatch, drop)
+        assert result == reference_greedy(feedback40(), make_cycle(5), 3) and probes > 0
 
 
 def symmetric_greedy_corpus():

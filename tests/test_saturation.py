@@ -105,7 +105,7 @@ class TestIsSaturated:
             Pool = RecordingPool
 
         expected = is_saturated(s21, K4, 3)
-        monkeypatch.setattr(saturation.multiprocessing, "get_context",
+        monkeypatch.setattr(multiprocessing, "get_context",
                             lambda method: RecordingContext())
         monkeypatch.setattr(saturation.os, "cpu_count", lambda: 4)
         assert is_saturated(s21, K4, 3, jobs=100_000) == expected
@@ -235,12 +235,12 @@ class TestIsSaturated:
         s60 = build_s(60, 3, 4)[0]
         expected = is_saturated(s60, K4, 3, sample=30_000, seed=2)
         monkeypatch.setattr(saturation.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(saturation.multiprocessing, "get_context", no_pool)
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
         assert is_saturated(s60, K4, 3, jobs=2, sample=30_000, seed=2) == expected
 
     def test_each_call_indexes_its_host_once(self, monkeypatch, s21):
-        # freeness runs on the scan's own index; greedy's final full check
-        # builds its own, counted apart
+        # freeness runs on the scan's own index; greedy's certificate check
+        # builds its own for the result, counted apart
         built = []
         real_init = engine._Index.__init__
 
@@ -255,7 +255,7 @@ class TestIsSaturated:
             built.clear()
             is_saturated(h, K4, 3, jobs=1, **kw)
             assert built == [h]
-        real_check = saturation.is_saturated
+        real_check = saturation._certifies
         final = []
 
         def counted_check(*args, **kwargs):
@@ -264,7 +264,7 @@ class TestIsSaturated:
             final.append(len(built) - before)
             return report
 
-        monkeypatch.setattr(saturation, "is_saturated", counted_check)
+        monkeypatch.setattr(saturation, "_certifies", counted_check)
         built.clear()
         greedy_saturate(less, K4, 3)
         assert final == [1] and len(built) == 2 and built[0] == less
@@ -402,7 +402,7 @@ class TestAgainstReference:
             return real_get_context("spawn")
 
         expected = is_saturated(s21, K4, 3, jobs=1)
-        monkeypatch.setattr(saturation.multiprocessing, "get_context", spawn_context)
+        monkeypatch.setattr(multiprocessing, "get_context", spawn_context)
         monkeypatch.setattr(saturation.os, "cpu_count", lambda: 2)
         assert is_saturated(s21, K4, 3, jobs=2) == expected
         assert requested == [None]
