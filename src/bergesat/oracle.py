@@ -81,9 +81,11 @@ def _k_set(e, n: int, k: int) -> tuple[int, ...]:
 
 
 def greedy_saturate(h: Hypergraph, f: Graph, k: int, order=None) -> Hypergraph:
-    """Add missing k-edges in the given order (lexicographic by default)
-    whenever the addition keeps the hypergraph Berge-free; the result is
-    certified saturated before it is returned, or ``RuntimeError`` is raised.
+    """Add missing k-edges in the given order whenever the addition keeps
+    the hypergraph Berge-free; the result is certified saturated before it
+    is returned, or ``RuntimeError`` is raised.  The default order is
+    lexicographic, with each prefix through a pair known good skipped with
+    its extensions, as none of them can be added.
 
     The start's freeness and every candidate are decided as the verifier
     decides them, by one ``saturation._Scan`` whose host grows by each
@@ -98,7 +100,10 @@ def greedy_saturate(h: Hypergraph, f: Graph, k: int, order=None) -> Hypergraph:
     if scan.witness() is not None:
         raise ValueError("hypergraph already contains the pattern")
     if order is None:
-        candidates = missing_edges(h, k)
+        if h.n < k:
+            raise ValueError(f"hypergraph has {h.n} < k={k} vertices")
+        singletons = (list(range(h.n)), [[v] for v in range(h.n)], list(range(h.n)))
+        candidates = saturation._representatives(singletons, k, scan.open_prefix)
     else:
         candidates = (_k_set(e, h.n, k) for e in order)
     scan.proofs = []

@@ -37,12 +37,13 @@ alike.  An edge's orbit holds only edges.  Full mode, orbit mode,
 (``_representatives``): it meets groups in increasing order, on each its
 first classes with non-increasing counts, and on each class its first
 members.  A scan extends a prefix only while none of its pairs is known
-good, as every k-set through a good pair creates a new copy.  Full mode
-lists every k-set of the violating orbits, sorted (``_expand``); orbit mode
-lists the least member of each twin-class multiset of those orbits, which
-takes the first members of each class it meets, sorted by the class numbers
-of its vertices.  ``_expand`` counts each orbit before listing it and
-refuses with ``ValueError`` past ``MAX_VIOLATIONS`` sets.
+good (``_Scan.open_prefix``), as every k-set through a good pair creates a
+new copy; greedy's default order is this walk with one vertex per group.
+Full mode lists every k-set of the violating orbits, sorted (``_expand``);
+orbit mode lists the least member of each twin-class multiset of those
+orbits, which takes the first members of each class it meets, sorted by
+the class numbers of its vertices.  ``_expand`` counts each orbit before
+listing it and refuses with ``ValueError`` past ``MAX_VIOLATIONS`` sets.
 
 Greedy completion re-keys after each edge t it adds (``_Scan.accept``).  A
 class that t meets splits into its members inside and outside t, which
@@ -66,13 +67,14 @@ probes every orbit that no mark covers.
 ``is_saturated`` decides freeness and its sets on one scan of its own, so
 concurrent calls do not share one; freeness is the scan's plain search
 (``_Scan.witness``).  Sampled mode probes its sample in process.  Full and
-orbit modes walk each first swap group's orbits (``_walk``), in process or
-over at most one worker process per CPU, started by the platform's default
-method.  Each worker builds its own scan and returns the violations of its
-groups, in order, so the report is identical for any worker count.  The
-count of checked sets is known without the scan: C(n, k) - |E| in full
-mode, the sample size in sampled mode, and in orbit mode the number of
-class multisets less |E|, as a class meeting an edge lies inside it.
+orbit modes walk the orbits (``_walk``) lazily in process, so ``_expand``
+refuses at the set that crosses the cap, or over at most one worker process
+per CPU, started by the platform's default method.  Each worker builds its
+own scan and lists the violations of its first swap groups, merged in
+group order, so the report is identical for any worker count.  The count
+of checked sets is known without the scan: C(n, k) - |E| in full mode, the
+sample size in sampled mode, and in orbit mode the number of class
+multisets less |E|, as a class meeting an edge lies inside it.
 """
 
 from __future__ import annotations
@@ -251,21 +253,20 @@ class _Scan:
         """The host's copy of the pattern that ``find_berge_witness`` finds."""
         return engine._search(self.index, self.pattern)
 
-    def first(self, g: int) -> list[Edge]:
-        """The representatives of the orbits whose first swap group is ``g``
-        that are missing and create no new Berge copy, in walk order.
+    def open_prefix(self, t: Edge) -> bool:
+        """Whether no pair of ``t`` is known good: every k-set through a good
+        pair creates a new copy, so a walk extends only open prefixes."""
+        key = self.key
+        pairs = itertools.combinations(t, 2)
+        return self.good.isdisjoint(_pair_key(key[a], key[b]) for a, b in pairs)
 
-        A prefix is extended only while none of its pairs is known good:
-        every k-set through a good pair creates a new copy.
-        """
-        key, good, present = self.key, self.good, self.index.id_of
-
-        def open_prefix(t: Edge) -> bool:
-            pairs = itertools.combinations(t, 2)
-            return good.isdisjoint(_pair_key(key[a], key[b]) for a, b in pairs)
-
-        found = (tuple(sorted(t)) for t in _representatives(self.groups, self.k, open_prefix, g))
-        return [t for t in found if t not in present and not self.creates_new(t)]
+    def first(self, g: int | None = None) -> Iterator[Edge]:
+        """Lazily, the sorted representatives of the orbits whose first swap
+        group is ``g`` (of every orbit by default) that are missing and
+        create no new Berge copy, in walk order."""
+        found = (tuple(sorted(t)) for t in
+                 _representatives(self.groups, self.k, self.open_prefix, g))
+        return (t for t in found if t not in self.index.id_of and not self.creates_new(t))
 
     def accept(self, t: Edge) -> None:
         """Greedy's step: add ``t`` if it is missing and creates no new copy,
@@ -388,22 +389,21 @@ def _start_worker(h: Hypergraph, f: Graph, k: int, groups) -> None:
 
 
 def _worker_first(g: int) -> list[Edge]:
-    return _worker_scan.first(g)
+    return list(_worker_scan.first(g))
 
 
-def _walk(scan: _Scan, jobs: int = 1) -> list[Edge]:
-    """``scan.first`` over every swap group, merged in group order: on
-    ``scan`` in process, or on at most ``jobs`` workers, one per CPU."""
+def _walk(scan: _Scan, jobs: int = 1) -> Iterable[Edge]:
+    """``scan.first`` over every swap group in group order: lazily in
+    process, or listed on at most ``jobs`` workers, one per CPU, and merged."""
     starts = range(len(set(scan.groups[2])))
     workers = min(jobs, len(starts), os.cpu_count() or 1)
     if workers <= 1:
-        results = map(scan.first, starts)
-    else:
-        import multiprocessing  # here: the pool is rare, and its import slows every start
+        return scan.first()
+    import multiprocessing  # here: the pool is rare, and its import slows every start
 
-        ctx = multiprocessing.get_context(None)  # the platform's default method
-        with ctx.Pool(workers, initializer=_start_worker, initargs=scan.args) as pool:
-            results = pool.map(_worker_first, starts)
+    ctx = multiprocessing.get_context(None)  # the platform's default method
+    with ctx.Pool(workers, initializer=_start_worker, initargs=scan.args) as pool:
+        results = pool.map(_worker_first, starts)
     return [t for v in results for t in v]
 
 
@@ -436,7 +436,7 @@ def _certifies(h: Hypergraph, f: Graph, k: int,
             return False
         x, y = outside[0]
         scan.good.add(_pair_key(scan.key[w.core_map[x]], scan.key[w.core_map[y]]))
-    return not _walk(scan)
+    return not any(_walk(scan))
 
 
 # ---------------------------------------------------------------------------

@@ -366,6 +366,15 @@ class TestContract:
         assert code == 2 and out == "" and err.startswith("error: ") and "recursion" in err
         assert not done.exists()
 
+    def test_greedy_on_fewer_vertices_than_k_exit_two(self, capsys, tmp_path, k4_path):
+        hg = tmp_path / "two.hg"
+        hg.write_text("n 2\n")
+        done = tmp_path / "done.hg"
+        code, out, err = run(capsys, "search", "greedy", "--hgraph", str(hg),
+                             "--graph", str(k4_path), "--k", "3", "-o", str(done))
+        assert (code, out, err) == (2, "", "error: hypergraph has 2 < k=3 vertices\n")
+        assert not done.exists()
+
     def test_uncertified_greedy_exit_two(self, capsys, monkeypatch, tmp_path, k4_path,
                                          tight_cycle_path):
         # the certificate's orbit walk reports a violation

@@ -72,6 +72,10 @@ class TestGreedySaturate:
         assert set(h.edges) <= set(completed.edges)
         assert is_saturated(completed, K4, 3).saturated
 
+    def test_fewer_vertices_than_k_rejected(self):
+        with pytest.raises(ValueError, match=r"^hypergraph has 2 < k=3 vertices$"):
+            greedy_saturate(Hypergraph(2, ()), K4, 3)
+
     def test_rejects_non_free_start(self):
         h = Hypergraph(4, ((0, 1), (0, 2), (1, 2)))
         with pytest.raises(ValueError):
@@ -127,6 +131,21 @@ class TestGreedyAgainstReference:
                         expected = reference_greedy(h, f, k, order)
                         got = greedy_saturate(h, f, k, order)
                         assert got.edges == expected.edges
+
+    def test_default_order_walks_only_open_prefixes(self, monkeypatch):
+        # every 3-set through a pair known good is skipped with its prefix: 78
+        # accept calls when measured, against 9,880 for every missing 3-set
+        calls = [0]
+        real_accept = saturation._Scan.accept
+
+        def counting(scan, t):
+            calls[0] += 1
+            real_accept(scan, t)
+
+        monkeypatch.setattr(saturation._Scan, "accept", counting)
+        h = Hypergraph(40, ())
+        assert greedy_saturate(h, K4, 3).edges == reference_greedy(h, K4, 3).edges
+        assert 0 < calls[0] <= 200
 
     def test_pair_shortcut_saves_probes(self, monkeypatch):
         # probes on a candidate, counted until the certificate check

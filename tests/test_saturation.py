@@ -195,6 +195,31 @@ class TestIsSaturated:
         with pytest.raises(ValueError, match="^2 violations exceed the cap of 1$"):
             is_saturated(two, K4, 3, orbits=True)
 
+    def test_refusal_comes_at_the_set_that_crosses_the_cap(self, monkeypatch):
+        # the in-process walk is read lazily: 1,084 creates_new calls when
+        # measured, against 26,564 when the whole walk was listed first
+        rng = random.Random(1)
+        edges: set = set()
+        while len(edges) < 90:
+            edges.add(tuple(sorted(rng.sample(range(60), 3))))
+        h = Hypergraph(60, tuple(sorted(edges)))
+        calls = [0]
+        real_creates_new = saturation._Scan.creates_new
+
+        def counting(*args):
+            calls[0] += 1
+            return real_creates_new(*args)
+
+        monkeypatch.setattr(saturation._Scan, "creates_new", counting)
+        monkeypatch.setattr(saturation, "MAX_VIOLATIONS", 1000)
+        refusal = "^1001 violations exceed the cap of 1000$"
+        with pytest.raises(ValueError, match=refusal):
+            is_saturated(h, K4, 3)
+        assert 0 < calls[0] <= 2000
+        monkeypatch.setattr(saturation.os, "cpu_count", lambda: 2)
+        with pytest.raises(ValueError, match=refusal):
+            is_saturated(h, K4, 3, jobs=2)
+
     def test_non_uniform_rejected(self):
         h = Hypergraph(5, ((0, 1, 2), (0, 1)))
         with pytest.raises(ValueError):
