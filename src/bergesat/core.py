@@ -2,8 +2,8 @@
 
 Vertices are dense integers ``0..n-1``.  Graph edges are unordered pairs;
 hyperedges are vertex sets of size >= 2 kept in insertion order.  Everything
-is immutable after construction, so values can be shared freely across
-worker processes.
+is immutable after construction, so values can be shared freely between
+concurrent calls.
 """
 
 from __future__ import annotations

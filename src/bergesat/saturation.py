@@ -64,23 +64,14 @@ freeness is decided by a search, a fresh scan keys the result by
 ``engine.validate_witness`` accepts, and the orbit walk of full mode
 probes every orbit that no mark covers.
 
-``is_saturated`` decides freeness and its sets on one scan of its own, so
-concurrent calls do not share one; freeness is the scan's plain search
-(``_Scan.witness``).  Sampled mode probes its sample in process.  Full and
-orbit modes walk the orbits (``_walk``) lazily in process, so ``_expand``
-refuses at the set that crosses the cap, or over at most one worker process
-per CPU, started by the platform's default method.  Each worker builds its
-own scan and lists the violations of its first swap groups, merged in
-group order, so the report is identical for any worker count.  The count
-of checked sets is known without the scan: C(n, k) - |E| in full mode, the
-sample size in sampled mode, and in orbit mode the number of class
-multisets less |E|, as a class meeting an edge lies inside it.
+Every scan runs in process, each call on a ``_Scan`` of its own, so
+concurrent calls share no state and ``_expand`` refuses at the set that
+crosses the cap.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import random
 import time
 from bisect import bisect_right
@@ -143,7 +134,7 @@ def all_pairs_good(h: Hypergraph, ell: int) -> PairGoodnessReport:
     it create a new Berge clique on ``ell`` vertices?  Raises ``ValueError``
     rather than list more than ``MAX_VIOLATIONS`` failures."""
     groups = _swap_groups(h)
-    failures = _expand(_walk(_Scan(h, make_clique(ell), 2, groups)), groups)
+    failures = _expand(_Scan(h, make_clique(ell), 2, groups).first(), groups)
     checked = count_missing_edges(h, 2)
     return PairGoodnessReport(checked=checked, good=checked - len(failures),
                               failures=failures)
@@ -210,7 +201,6 @@ class _Scan:
     whose members list ``accept`` extends."""
 
     def __init__(self, h: Hypergraph, f: Graph, k: int, groups) -> None:
-        self.args = (h, f, k, groups)  # what a pool worker builds its own scan from
         self.index = engine._Index(h)
         self.pattern = engine._prepared(f) if f.n <= h.n else None  # None: no copy fits
         self.k = k
@@ -260,12 +250,10 @@ class _Scan:
         pairs = itertools.combinations(t, 2)
         return self.good.isdisjoint(_pair_key(key[a], key[b]) for a, b in pairs)
 
-    def first(self, g: int | None = None) -> Iterator[Edge]:
-        """Lazily, the sorted representatives of the orbits whose first swap
-        group is ``g`` (of every orbit by default) that are missing and
-        create no new Berge copy, in walk order."""
-        found = (tuple(sorted(t)) for t in
-                 _representatives(self.groups, self.k, self.open_prefix, g))
+    def first(self) -> Iterator[Edge]:
+        """Lazily, the sorted representatives of the orbits that are missing
+        and create no new Berge copy, in walk order."""
+        found = (tuple(sorted(t)) for t in _representatives(self.groups, self.k, self.open_prefix))
         return (t for t in found if t not in self.index.id_of and not self.creates_new(t))
 
     def accept(self, t: Edge) -> None:
@@ -351,13 +339,11 @@ def _expand(found: Iterable[Edge], groups, least: bool = False) -> list[Edge]:
     return sorted(out)
 
 
-def _representatives(groups, m: int, keep=lambda t: True,
-                     start: int | None = None) -> Iterator[Edge]:
+def _representatives(groups, m: int, keep=lambda t: True) -> Iterator[Edge]:
     """One set of m >= 1 vertices per orbit of ``_expand``, lazily: it meets
     groups in increasing order, on each its first classes with
     non-increasing counts, and on each class its first members.  A prefix
-    for which ``keep`` is false is not extended; ``start`` keeps only the
-    sets whose first group it is."""
+    for which ``keep`` is false is not extended."""
     gm = [[groups[1][c] for c in cs] for cs in _class_members(groups[2])]  # members by group
 
     def grow(t: Edge, g: int, j: int, i: int, cap: int) -> Iterator[Edge]:
@@ -375,36 +361,8 @@ def _representatives(groups, m: int, keep=lambda t: True,
         for d in range(g + 1, len(gm)):
             yield from grow(t + (gm[d][0][0],), d, 0, 1, len(gm[d][0]))
 
-    starts = range(len(gm)) if start is None else (start,)
     return itertools.chain.from_iterable(
-        grow((gm[g][0][0],), g, 0, 1, len(gm[g][0])) for g in starts)
-
-
-_worker_scan: _Scan | None = None  # a pool worker process's own scan
-
-
-def _start_worker(h: Hypergraph, f: Graph, k: int, groups) -> None:
-    global _worker_scan
-    _worker_scan = _Scan(h, f, k, groups)
-
-
-def _worker_first(g: int) -> list[Edge]:
-    return list(_worker_scan.first(g))
-
-
-def _walk(scan: _Scan, jobs: int = 1) -> Iterable[Edge]:
-    """``scan.first`` over every swap group in group order: lazily in
-    process, or listed on at most ``jobs`` workers, one per CPU, and merged."""
-    starts = range(len(set(scan.groups[2])))
-    workers = min(jobs, len(starts), os.cpu_count() or 1)
-    if workers <= 1:
-        return scan.first()
-    import multiprocessing  # here: the pool is rare, and its import slows every start
-
-    ctx = multiprocessing.get_context(None)  # the platform's default method
-    with ctx.Pool(workers, initializer=_start_worker, initargs=scan.args) as pool:
-        results = pool.map(_worker_first, starts)
-    return [t for v in results for t in v]
+        grow((gm[g][0][0],), g, 0, 1, len(gm[g][0])) for g in range(len(gm)))
 
 
 def _certifies(h: Hypergraph, f: Graph, k: int,
@@ -436,7 +394,7 @@ def _certifies(h: Hypergraph, f: Graph, k: int,
             return False
         x, y = outside[0]
         scan.good.add(_pair_key(scan.key[w.core_map[x]], scan.key[w.core_map[y]]))
-    return not any(_walk(scan))
+    return not any(scan.first())
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +533,9 @@ def is_saturated(
     """Verify freeness, then check that missing k-sets create new Berge
     copies of ``f``.  Full mode (the default) checks all of them.  Full and
     orbit modes raise ``ValueError`` rather than list more than
-    ``MAX_VIOLATIONS`` sets, and sampled mode rather than sample more."""
+    ``MAX_VIOLATIONS`` sets, and sampled mode rather than sample more.
+    ``jobs`` below 1 raises ``ValueError``; any other value leaves the work
+    and the report unchanged, as every scan runs in process."""
     start = time.perf_counter()
     if not is_k_uniform(h, k):
         raise ValueError(f"hypergraph is not {k}-uniform")
@@ -598,8 +558,9 @@ def is_saturated(
         checked = len(ksets)
         violations_sat = [t for t in ksets if not scan.creates_new(t)]
     else:
-        violations_sat = _expand(_walk(scan, jobs), groups, least=orbits)
+        violations_sat = _expand(scan.first(), groups, least=orbits)
         if orbits:
+            # a class meeting an edge lies inside it: each edge is one multiset
             checked = _count_class_multisets(groups[0], k) - len(h.edges)
             reduction = count_missing_edges(h, k) / checked if checked else None
         else:

@@ -206,6 +206,14 @@ class TestCheck:
         assert code == 2 and not out
         assert err == "error: sample must be at least 0\n"
 
+    def test_jobs_below_one_exit_two(self, capsys, s21_path):
+        code, out, err = run(
+            capsys, "check", "saturated",
+            "--hgraph", str(s21_path), "--clique", "4", "--k", "3", "--jobs", "0",
+        )
+        assert code == 2 and not out
+        assert err == "error: jobs must be at least 1\n"
+
     def test_sample_past_the_cap_exit_two(self, capsys, tmp_path):
         empty = tmp_path / "empty.hg"
         empty.write_text("n 1000\n")
@@ -378,7 +386,7 @@ class TestContract:
     def test_uncertified_greedy_exit_two(self, capsys, monkeypatch, tmp_path, k4_path,
                                          tight_cycle_path):
         # the certificate's orbit walk reports a violation
-        monkeypatch.setattr(saturation, "_walk", lambda scan: [(0, 1, 2)])
+        monkeypatch.setattr(saturation._Scan, "first", lambda scan: iter([(0, 1, 2)]))
         code, out, err = run(capsys, "search", "greedy",
                              "--hgraph", str(tight_cycle_path), "--graph", str(k4_path),
                              "--k", "3", "-o", str(tmp_path / "done.hg"))

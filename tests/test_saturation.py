@@ -66,7 +66,20 @@ class TestIsSaturated:
         assert report.violations_sat  # some missing triple creates nothing
 
     def test_worker_count_does_not_change_report(self, s21):
-        assert is_saturated(s21, K4, 3, jobs=1) == is_saturated(s21, K4, 3, jobs=8)
+        expected = is_saturated(s21, K4, 3, jobs=1)
+        for jobs in (8, 100_000, 3):
+            assert is_saturated(s21, K4, 3, jobs=jobs) == expected
+        # twin classes {0}, {1, 2} and {3, 4}, the last two swap: two swap groups
+        small = Hypergraph(5, ((0, 1, 2), (0, 3, 4)))
+        assert is_saturated(small, K3, 3, jobs=100_000).checked_missing == 8
+
+    def test_jobs_below_one_rejected_before_any_search(self, monkeypatch, s21):
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched before validating jobs")
+
+        monkeypatch.setattr(engine, "_search", no_search)
+        with pytest.raises(ValueError, match="^jobs must be at least 1$"):
+            is_saturated(s21, K4, 3, jobs=0)
 
     def test_worker_count_does_not_change_violations(self):
         rng = random.Random(5)
@@ -82,41 +95,6 @@ class TestIsSaturated:
                 two = is_saturated(h, f, k, jobs=2, **kw)
                 assert one.violations_sat
                 assert one == two
-
-    def test_worker_count_is_clamped(self, monkeypatch, s21):
-        # a stand-in pool records its requested size and runs in-process
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, processes, initializer, initargs):
-                sizes.append(processes)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, worker, tasks):
-                return [worker(t) for t in tasks]
-
-        class RecordingContext:
-            Pool = RecordingPool
-
-        expected = is_saturated(s21, K4, 3)
-        monkeypatch.setattr(multiprocessing, "get_context",
-                            lambda method: RecordingContext())
-        monkeypatch.setattr(saturation.os, "cpu_count", lambda: 4)
-        assert is_saturated(s21, K4, 3, jobs=100_000) == expected
-        assert is_saturated(s21, K4, 3, jobs=3) == expected
-        # twin classes {0}, {1, 2} and {3, 4}, the last two swap: two swap
-        # groups, so two tasks
-        small = Hypergraph(5, ((0, 1, 2), (0, 3, 4)))
-        assert is_saturated(small, K3, 3, jobs=100_000).checked_missing == 8
-        monkeypatch.setattr(saturation.os, "cpu_count", lambda: None)
-        assert is_saturated(s21, K4, 3, jobs=100_000) == expected
-        assert sizes == [4, 3, 2]
 
     def test_concurrent_calls_do_not_share_scan_state(self):
         # three threads verify different hosts at once, switching often; one
@@ -216,9 +194,10 @@ class TestIsSaturated:
         with pytest.raises(ValueError, match=refusal):
             is_saturated(h, K4, 3)
         assert 0 < calls[0] <= 2000
-        monkeypatch.setattr(saturation.os, "cpu_count", lambda: 2)
+        calls[0] = 0
         with pytest.raises(ValueError, match=refusal):
             is_saturated(h, K4, 3, jobs=2)
+        assert 0 < calls[0] <= 2000
 
     def test_non_uniform_rejected(self):
         h = Hypergraph(5, ((0, 1, 2), (0, 1)))
@@ -253,15 +232,20 @@ class TestIsSaturated:
         report = is_saturated(s21, K4, 3, sample=5)
         assert report.checked_missing == 5 and report.no_violations
 
-    def test_sampled_mode_never_starts_a_pool(self, monkeypatch):
-        def no_pool(method=None):
-            raise AssertionError("sampled mode started a pool")
+    def test_no_mode_starts_a_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("started a pool")
 
         s60 = build_s(60, 3, 4)[0]
-        expected = is_saturated(s60, K4, 3, sample=30_000, seed=2)
-        monkeypatch.setattr(saturation.os, "cpu_count", lambda: 2)
+        less = Hypergraph(s60.n, s60.edges[:-3])
+        modes = ({}, {"orbits": True}, {"sample": 30_000, "seed": 2})
+        expected = [is_saturated(less, K4, 3, **kw) for kw in modes]
+        pairs = all_pairs_good(less, 4)
+        assert all(r.violations_sat for r in expected) and not pairs.ok
         monkeypatch.setattr(multiprocessing, "get_context", no_pool)
-        assert is_saturated(s60, K4, 3, jobs=2, sample=30_000, seed=2) == expected
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        assert [is_saturated(less, K4, 3, jobs=2, **kw) for kw in modes] == expected
+        assert all_pairs_good(less, 4) == pairs
 
     def test_each_call_indexes_its_host_once(self, monkeypatch, s21):
         # freeness runs on the scan's own index; greedy's certificate check
@@ -415,22 +399,6 @@ class TestAgainstReference:
                 picks = sorted(random.Random(seed).sample(range(total), min(count, total)))
                 expected = [missing[i] for i in picks]
                 assert saturation._sample_missing(h, k, count, seed) == expected
-
-    def test_spawned_workers_give_the_same_report(self, monkeypatch, s21):
-        # spawn starts each worker from a fresh interpreter, the only start
-        # method on some platforms
-        requested = []
-        real_get_context = multiprocessing.get_context
-
-        def spawn_context(method=None):
-            requested.append(method)
-            return real_get_context("spawn")
-
-        expected = is_saturated(s21, K4, 3, jobs=1)
-        monkeypatch.setattr(multiprocessing, "get_context", spawn_context)
-        monkeypatch.setattr(saturation.os, "cpu_count", lambda: 2)
-        assert is_saturated(s21, K4, 3, jobs=2) == expected
-        assert requested == [None]
 
 
 def twin_host(rng: random.Random, sizes: tuple[int, ...]) -> Hypergraph:
