@@ -1,11 +1,13 @@
 """Slow, obviously-correct reference algorithms.
 
-``berge_oracle`` decides Berge containment by enumerating every injection of
-the pattern vertices and, per injection, every assignment of distinct
-hyperedges to pattern edges -- no matching machinery, so it is an
-independent ground truth for the fast engine.  ``saturation_violations``
-probes every missing k-set on its own, the reference for the verifier's
-pair memo; ``orbit_representatives`` lists the k-sets orbit mode reports.
+``berge_oracle`` decides Berge containment by enumerating the injections of
+the non-isolated pattern vertices and, per injection, every assignment of
+distinct hyperedges to pattern edges -- no matching machinery, so it is an
+independent ground truth for the fast engine.  It cuts only what cannot
+hold a copy: a host with fewer edges than the pattern, and every injection
+prefix that maps a pattern edge onto a pair no host edge covers.
+``saturation_violations`` probes every missing k-set on its own, the
+reference for the verifier's pair memo; ``orbit_representatives`` lists the k-sets orbit mode reports.
 ``min_saturation_search`` enumerates all edge subsets of bounded size and
 is the ground truth for saturation numbers on tiny instances.
 """
@@ -26,15 +28,36 @@ MAX_SEARCH_EDGES = 6
 
 
 def berge_oracle(f: Graph, h: Hypergraph) -> bool:
-    """Exhaustive Berge containment test for tiny instances."""
+    """Exhaustive Berge containment test for tiny instances.
+
+    A host with fewer edges than the pattern has no copy, as a copy needs a
+    distinct host edge per pattern edge.  Otherwise the non-isolated pattern
+    vertices are placed one at a time in increasing order, each on an unused
+    host vertex that lies in some host edge, and in one with the image of
+    each placed neighbour.  An injection this cuts puts a pattern edge on a
+    pair that no host edge covers, so it has no assignment.  Each full
+    placement is tried with every assignment of distinct host edges.  The
+    isolated pattern vertices are never placed: once ``f.n <= h.n`` the
+    unused host vertices can take them, so the placement recurses at most
+    ``2 * MAX_ORACLE_PATTERN_EDGES`` deep.
+    """
     if len(f.edges) > MAX_ORACLE_PATTERN_EDGES:
         raise ValueError(f"pattern has {len(f.edges)} > {MAX_ORACLE_PATTERN_EDGES} edges")
     if len(h.edges) > MAX_ORACLE_HOST_EDGES:
         raise ValueError(f"host has {len(h.edges)} > {MAX_ORACLE_HOST_EDGES} edges")
-    if f.n > h.n:
+    if f.n > h.n or len(f.edges) > len(h.edges):
         return False
     host_sets = [set(e) for e in h.edges]
+    # the covered pairs, as the vertices sharing a host edge with each vertex
+    shares: dict[int, set[int]] = {}
+    for e in h.edges:
+        for v in e:
+            shares.setdefault(v, set()).update(e)
+    in_edges = set(shares)
     fedges = f.edges
+    order = sorted({v for e in fedges for v in e})
+    # the placed pattern neighbours of each position
+    earlier = [[y for y in order[:i] if (y, x) in fedges] for i, x in enumerate(order)]
 
     def assign(i: int, placed: dict[int, int], used: list[bool]) -> bool:
         if i == len(fedges):
@@ -49,17 +72,34 @@ def berge_oracle(f: Graph, h: Hypergraph) -> bool:
                 used[j] = False
         return False
 
-    for injection in itertools.permutations(range(h.n), f.n):
-        placed = dict(enumerate(injection))
-        if assign(0, placed, [False] * len(host_sets)):
-            return True
-    return False
+    placed: dict[int, int] = {}
+    taken = [False] * h.n
+
+    def place(i: int) -> bool:
+        if i == len(order):
+            return assign(0, placed, [False] * len(host_sets))
+        for v in in_edges.intersection(*(shares[placed[y]] for y in earlier[i])):
+            if taken[v]:
+                continue
+            placed[order[i]] = v
+            taken[v] = True
+            if place(i + 1):
+                return True
+            taken[v] = False
+        return False
+
+    return place(0)
 
 
 def saturation_violations(h: Hypergraph, f: Graph, k: int) -> list[tuple[int, ...]]:
     """Every missing k-set whose addition creates no new Berge copy of ``f``,
-    in lexicographic order, one independent probe each."""
-    return [t for t in missing_edges(h, k) if not engine.creates_new_berge(h, t, f)]
+    in lexicographic order, one independent probe each over one index of
+    ``h`` (a probe adds its set as a virtual edge and leaves the index as it
+    was)."""
+    index = engine._Index(h)
+    pattern = engine._prepared(f) if f.n <= h.n else None
+    return [t for t in missing_edges(h, k)
+            if engine._search(index, pattern, required_edge=t) is None]
 
 
 def orbit_representatives(h: Hypergraph, k: int) -> list[tuple[int, ...]]:
@@ -188,7 +228,7 @@ def min_saturation_search(
     that is iff it is isomorphic to an earlier subset, which failed; so
     ``m_star``, ``witness_h`` and ``examined`` are unchanged.  The form
     minimises only over relabellings that respect an invariant vertex
-    partition, so rejection costs less than the saturation checks it saves.
+    partition.
     """
     if comb(n, k) > MAX_SEARCH_KSETS:
         raise ValueError(f"C({n},{k}) exceeds the cap of {MAX_SEARCH_KSETS} possible edges")

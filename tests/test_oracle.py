@@ -9,7 +9,7 @@ from math import ceil, comb
 import pytest
 
 from bergesat import engine, saturation
-from bergesat.core import Hypergraph, add_edge, missing_edges
+from bergesat.core import Graph, Hypergraph, add_edge, missing_edges
 from bergesat.constructions import build_h_feedback, build_h_min_deg, build_s
 from bergesat.engine import contains_berge, creates_new_berge
 from bergesat.invariants import make_clique, make_cycle, make_path, make_star
@@ -49,6 +49,53 @@ class TestBergeOracle:
             h = random_hypergraph(rng)
             f = rng.choice(small_patterns())
             assert berge_oracle(f, h) == contains_berge(f, h)
+
+    def test_agreement_with_brute_force(self):
+        rng = random.Random(2323)
+        padded = [Graph(f.n + extra, f.edges) for f in small_patterns() for extra in (1, 3)]
+        edgeless = [Graph(0, ()), Graph(1, ()), Graph(4, ())]
+        scattered = [Graph(6, ((1, 4), (4, 5))), Graph(7, ((0, 6), (2, 3), (3, 6)))]
+        patterns = small_patterns() + padded + edgeless + scattered
+        kinds = {"more vertices": 0, "more edges": 0, "isolated vertices": 0, "found": 0}
+        for _ in range(400):
+            h = random_hypergraph(rng, max_vertices=7, max_edges=rng.choice((2, 7)))
+            f = rng.choice(patterns)
+            expected = brute_berge(f, h)
+            assert berge_oracle(f, h) == expected, (f, h)
+            kinds["more vertices"] += f.n > h.n
+            kinds["more edges"] += f.n <= h.n and len(f.edges) > len(h.edges)
+            kinds["isolated vertices"] += f.n > len({v for e in f.edges for v in e})
+            kinds["found"] += expected
+        assert min(kinds.values()) >= 20, kinds
+
+    def test_isolated_vertices_are_not_placed(self):
+        # one recursion level per pattern vertex would overflow the stack
+        assert berge_oracle(Graph(2000, ()), Hypergraph(2000, ())) is True
+        assert berge_oracle(Graph(2000, ((1998, 1999),)), Hypergraph(2000, ((0, 1),))) is True
+
+
+def brute_berge(f, h):
+    """Berge containment by every injection of all the pattern vertices and,
+    per injection, every assignment of distinct host edges to pattern edges."""
+    if f.n > h.n:
+        return False
+    host_sets = [set(e) for e in h.edges]
+
+    def assign(i, placed, used):
+        if i == len(f.edges):
+            return True
+        x, y = f.edges[i]
+        a, b = placed[x], placed[y]
+        for j, e in enumerate(host_sets):
+            if not used[j] and a in e and b in e:
+                used[j] = True
+                if assign(i + 1, placed, used):
+                    return True
+                used[j] = False
+        return False
+
+    return any(assign(0, dict(enumerate(injection)), [False] * len(host_sets))
+               for injection in itertools.permutations(range(h.n), f.n))
 
 
 class TestGreedySaturate:
@@ -488,6 +535,16 @@ class TestMinSaturationSearch:
         pruned = min_saturation_search(5, 3, K3, 3, isomorph_reject=True)
         assert plain.m_star == pruned.m_star
         assert plain.witness_h == pruned.witness_h
+
+    def test_k4_value_at_six_vertices(self):
+        # sat_3(6, Berge-K4): 15 s when the oracle tried every injection
+        plain = min_saturation_search(6, 3, K4, 5)
+        pruned = min_saturation_search(6, 3, K4, 5, isomorph_reject=True)
+        assert (plain.m_star, plain.examined) == (5, 6630)
+        assert (pruned.m_star, pruned.witness_h, pruned.examined) == (
+            plain.m_star, plain.witness_h, plain.examined
+        )
+        assert is_saturated(plain.witness_h, K4, 3).saturated
 
     def test_unreachable_budget_returns_none(self):
         assert min_saturation_search(6, 3, K3, 2) is None
