@@ -136,7 +136,7 @@ def greedy_saturate(h: Hypergraph, f: Graph, k: int, order=None) -> Hypergraph:
     than by a second full verification."""
     if not is_k_uniform(h, k):
         raise ValueError(f"hypergraph is not {k}-uniform")
-    scan = saturation._Scan(h, f, k, saturation._swap_groups(h))
+    scan = saturation._Scan(h, f, k)
     if scan.witness() is not None:
         raise ValueError("hypergraph already contains the pattern")
     if order is None:
@@ -165,50 +165,6 @@ class SearchResult:
     examined: int
 
 
-def _canonical_form(edge_subset, n: int):
-    """A relabelling of ``edge_subset`` that is equal for two subsets iff
-    they are isomorphic.
-
-    Each vertex is keyed by its degree in the subset plus the sorted degree
-    profiles of the edges containing it.  The cells of equal key are ordered
-    by key, and the form is the least relabelled edge list over only the
-    permutations that map each cell onto its own block of positions.  The
-    keys do not depend on vertex labels, so an isomorphism between two
-    subsets maps cells onto cells of the same key and size, and carries the
-    cell-respecting relabellings of one onto those of the other: the two
-    minima are taken over the same relabelled edge lists and are equal.
-    Conversely, equal forms are both relabellings of the same edge list.
-    """
-    deg = [0] * n
-    for e in edge_subset:
-        for v in e:
-            deg[v] += 1
-    profiles: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-    for e in edge_subset:
-        profile = tuple(sorted(deg[v] for v in e))
-        for v in e:
-            profiles[v].append(profile)
-    keys = [(deg[v], tuple(sorted(profiles[v]))) for v in range(n)]
-    cells: dict = {}
-    for v in range(n):
-        cells.setdefault(keys[v], []).append(v)
-    blocks = [cells[key] for key in sorted(cells)]
-    # vertices of degree 0 lie in no edge, so every order of their cell (the
-    # first, if any) gives the same edge list: they stay out of the product
-    start = 0
-    if blocks and deg[blocks[0][0]] == 0:
-        start = len(blocks.pop(0))
-    best = None
-    perm = [0] * n
-    for arrangement in itertools.product(*map(itertools.permutations, blocks)):
-        for pos, v in enumerate(itertools.chain.from_iterable(arrangement), start):
-            perm[v] = pos
-        relabeled = tuple(sorted(tuple(sorted(perm[v] for v in e)) for e in edge_subset))
-        if best is None or relabeled < best:
-            best = relabeled
-    return best
-
-
 def _is_saturated_by_oracle(h: Hypergraph, f: Graph, k: int) -> bool:
     if berge_oracle(f, h):
         return False
@@ -220,31 +176,29 @@ def min_saturation_search(
     n: int, k: int, f: Graph, m_max: int, isomorph_reject: bool = False
 ) -> SearchResult | None:
     """Smallest edge count of a saturated k-uniform hypergraph on n vertices,
-    by enumerating all edge subsets of size 0..m_max in lexicographic order.
+    by enumerating all edge subsets of size 0..m_max in lexicographic order
+    and deciding each with ``berge_oracle``.
 
     The witness returned is the lexicographically least subset of minimum
-    size.  Isomorph rejection (off by default, so the naive path stays the
-    trusted oracle) skips a subset iff its canonical form was already seen,
-    that is iff it is isomorphic to an earlier subset, which failed; so
-    ``m_star``, ``witness_h`` and ``examined`` are unchanged.  The form
-    minimises only over relabellings that respect an invariant vertex
-    partition.
+    size, and ``examined`` counts every subset enumerated up to it.
+    ``m_max < 0`` and ``k < 2`` raise ``ValueError`` before any subset is
+    enumerated.  ``isomorph_reject`` is accepted and changes nothing: the
+    isomorph-rejecting path it selected was slower than this one on most
+    instances, and gave the same result.
     """
+    if k < 2:
+        raise ValueError(f"k={k} is below 2")
+    if m_max < 0:
+        raise ValueError(f"m_max={m_max} is negative")
     if comb(n, k) > MAX_SEARCH_KSETS:
         raise ValueError(f"C({n},{k}) exceeds the cap of {MAX_SEARCH_KSETS} possible edges")
     if m_max > MAX_SEARCH_EDGES:
         raise ValueError(f"m_max={m_max} exceeds the cap of {MAX_SEARCH_EDGES}")
     universe = list(itertools.combinations(range(n), k))
     examined = 0
-    seen_canonical = set()
     for m in range(m_max + 1):
         for subset in itertools.combinations(universe, m):
             examined += 1
-            if isomorph_reject:
-                canon = _canonical_form(subset, n)
-                if canon in seen_canonical:
-                    continue
-                seen_canonical.add(canon)
             h = Hypergraph(n, subset)
             if _is_saturated_by_oracle(h, f, k):
                 return SearchResult(m_star=m, witness_h=h, examined=examined)

@@ -133,8 +133,8 @@ def all_pairs_good(h: Hypergraph, ell: int) -> PairGoodnessReport:
     """Check every vertex pair not already present as a 2-edge: does adding
     it create a new Berge clique on ``ell`` vertices?  Raises ``ValueError``
     rather than list more than ``MAX_VIOLATIONS`` failures."""
-    groups = _swap_groups(h)
-    failures = _expand(_Scan(h, make_clique(ell), 2, groups).first(), groups)
+    scan = _Scan(h, make_clique(ell), 2)
+    failures = _expand(scan.first(), scan.groups)
     checked = count_missing_edges(h, 2)
     return PairGoodnessReport(checked=checked, good=checked - len(failures),
                               failures=failures)
@@ -200,12 +200,12 @@ class _Scan:
     ``_swap_groups(h)``, which ``first`` walks on the host as given and
     whose members list ``accept`` extends."""
 
-    def __init__(self, h: Hypergraph, f: Graph, k: int, groups) -> None:
+    def __init__(self, h: Hypergraph, f: Graph, k: int) -> None:
         self.index = engine._Index(h)
         self.pattern = engine._prepared(f) if f.n <= h.n else None  # None: no copy fits
         self.k = k
-        self.groups = groups
-        cls, self.members, group = groups
+        self.groups = _swap_groups(h)
+        cls, self.members, group = self.groups
         self.key = [(group[c], c) for c in cls]
         self.fresh = itertools.count(len(group))  # group numbers not yet used
         self.good: set[tuple[int, int, bool]] = set()
@@ -376,7 +376,7 @@ def _certifies(h: Hypergraph, f: Graph, k: int,
     then marks good the key of that pattern edge's core images.  A missing
     proof costs probes, never the answer.
     """
-    scan = _Scan(h, f, k, _swap_groups(h))
+    scan = _Scan(h, f, k)
     if scan.witness() is not None:
         return False
     present = h.edge_set()
@@ -548,8 +548,8 @@ def is_saturated(
     if sample is not None and sample > MAX_VIOLATIONS:
         raise ValueError(f"sample {sample} exceeds the cap of {MAX_VIOLATIONS}")
 
-    groups = _swap_groups(h)
-    scan = _Scan(h, f, k, groups)
+    scan = _Scan(h, f, k)
+    groups = scan.groups
     witness = scan.witness()
     mode = "orbits" if orbits else "full" if sample is None else "sampled"
     reduction = None

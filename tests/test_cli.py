@@ -308,6 +308,20 @@ class TestSearch:
         )
         assert code == 1 and payload["m_star"] is None
 
+    @pytest.mark.parametrize("bound", [["--k", "3", "--max-m", "-1"], ["--k", "0", "--max-m", "3"]],
+                             ids=["negative-max-m", "k-zero"])
+    def test_minsat_bad_bounds_exit_2(self, capsys, bound):
+        code, out, err = run(capsys, "search", "minsat", "--n", "5", "--clique", "3", *bound)
+        assert code == 2 and out == "" and "hyperedge" not in err
+
+    def test_minsat_isomorph_reject_is_inert(self, capsys, tmp_path):
+        g = tmp_path / "c4.g"
+        g.write_text("0 1\n1 2\n2 3\n0 3\n")
+        argv = ["search", "minsat", "--n", "5", "--k", "3", "--graph", str(g), "--max-m", "4"]
+        plain = run(capsys, *argv)
+        assert plain[0] == 0
+        assert run(capsys, *argv, "--isomorph-reject") == plain
+
     def test_greedy(self, capsys, tmp_path, k4_path, tight_cycle_path):
         out = tmp_path / "done.hg"
         code, payload, _ = run_json(

@@ -8,13 +8,12 @@ from math import ceil, comb
 
 import pytest
 
-from bergesat import engine, saturation
+from bergesat import engine, oracle, saturation
 from bergesat.core import Graph, Hypergraph, add_edge, missing_edges
 from bergesat.constructions import build_h_feedback, build_h_min_deg, build_s
 from bergesat.engine import contains_berge, creates_new_berge
 from bergesat.invariants import make_clique, make_cycle, make_path, make_star
 from bergesat.oracle import (
-    _canonical_form,
     berge_oracle,
     greedy_saturate,
     min_saturation_search,
@@ -384,7 +383,7 @@ class TestGreedyCertificate:
 
         def drop_first_key(h, proofs):
             # every proof of the first proof's key, as the certificate keys it
-            scan = saturation._Scan(h, make_cycle(5), 3, saturation._swap_groups(h))
+            scan = saturation._Scan(h, make_cycle(5), 3)
             first = pair_key(scan, proofs[0][1], proofs[0][0])
             return h, [(t, w) for t, w in proofs if pair_key(scan, w, t) != first]
 
@@ -559,78 +558,18 @@ class TestMinSaturationSearch:
         with pytest.raises(ValueError):
             min_saturation_search(5, 3, K3, 7)
 
+    @pytest.mark.parametrize("k,m_max", [(3, -1), (1, 3), (0, 3)])
+    def test_bad_bounds_rejected_before_enumerating(self, monkeypatch, k, m_max):
+        def decide(*args):
+            raise AssertionError("a subset was decided")
 
-def brute_forms(n, k, m_max):
-    """The least relabelling over all n! permutations, for every subset of at
-    most m_max k-sets, computed once per isomorphism class."""
-    universe = list(itertools.combinations(range(n), k))
-    perms = list(itertools.permutations(range(n)))
-    form = {}
-    for m in range(m_max + 1):
-        for subset in itertools.combinations(universe, m):
-            if subset in form:
-                continue
-            images = {
-                tuple(sorted(tuple(sorted(p[v] for v in e)) for e in subset)) for p in perms
-            }
-            least = min(images)
-            for image in images:
-                form[image] = least
-    return form
-
-
-class TestCanonicalForm:
-    @pytest.mark.parametrize("n,k", [(5, 2), (5, 3), (6, 2), (6, 3)])
-    def test_classes_match_brute_force(self, n, k):
-        brute = brute_forms(n, k, 3)
-        pairs = {(_canonical_form(s, n), b) for s, b in brute.items()}
-        classes = set(brute.values())
-        # one form per class, and no form shared by two classes
-        assert len(pairs) == len(classes) == len({c for c, _ in pairs})
-
-    def test_invariant_under_relabelling(self):
-        rng = random.Random(31)
-        for n, k in ((6, 3), (7, 3), (6, 2)):
-            universe = list(itertools.combinations(range(n), k))
-            for m in range(4, 7):
-                for _ in range(15):
-                    subset = rng.sample(universe, m)
-                    p = rng.sample(range(n), n)
-                    moved = [tuple(sorted(p[v] for v in e)) for e in subset]
-                    assert _canonical_form(moved, n) == _canonical_form(subset, n)
-
-    @staticmethod
-    def count_permutations(monkeypatch):
-        real = itertools.permutations
-        drawn = [0]
-
-        def counting(*args):
-            for p in real(*args):
-                drawn[0] += 1
-                yield p
-
-        monkeypatch.setattr(itertools, "permutations", counting)
-        return drawn
-
-    def test_tries_only_cell_respecting_relabellings(self, monkeypatch):
-        # all n! relabellings of every subset of at most 3 triples on 6
-        # vertices are 1,351 * 720 = 972,720 permutations
-        universe = list(itertools.combinations(range(6), 3))
-        subsets = [s for m in range(4) for s in itertools.combinations(universe, m)]
-        drawn = self.count_permutations(monkeypatch)
-        for subset in subsets:
-            _canonical_form(subset, 6)
-        assert drawn[0] < len(subsets) * 720 // 10
-
-    def test_isolated_vertices_are_not_permuted(self, monkeypatch):
-        # the 6 isolated vertices would add 6! = 720 orders of their cell
-        drawn = self.count_permutations(monkeypatch)
-        assert _canonical_form([(3, 5)], 8) == ((6, 7),)
-        assert _canonical_form([], 8) == ()
-        assert drawn[0] == 2
+        monkeypatch.setattr(oracle, "_is_saturated_by_oracle", decide)
+        with pytest.raises(ValueError):
+            min_saturation_search(5, k, K3, m_max)
 
     @pytest.mark.parametrize("n,k", [(5, 2), (5, 3), (6, 2), (6, 3)])
-    @pytest.mark.parametrize("f", [K3, make_path(3)], ids=["K3", "P3"])
+    @pytest.mark.parametrize("f", [K3, make_path(3), make_cycle(4), make_star(3)],
+                             ids=["K3", "P3", "C4", "K13"])
     def test_search_result_unchanged(self, n, k, f):
         m_max = 4 if n == 5 else 3
         plain = min_saturation_search(n, k, f, m_max)
