@@ -58,12 +58,33 @@ leaves some required vertex no such position is abandoned; it holds no
 witness, so the order of the search and its first witness are unchanged.
 Without a required core the look-ahead costs one integer test per node.
 
-The matcher is snapshotted only before a candidate's first push; a candidate
-rejected by an empty supply before that has changed nothing to restore.
+A pattern edge between a candidate and a placed neighbour's image can only
+take a hyperedge holding both, so only a vertex that shares a hyperedge with
+the image of every placed pattern neighbour (the virtual edge counted) can
+take a position.  Where the latest placed neighbour's image has few
+neighbours (under a quarter of the candidates, on hosts of 32 or more;
+``_list_below``), a node intersects the neighbour sets of the placed
+neighbours' images (``_Index.adj``) and visits only the common neighbours,
+sorted by rank, an integer that orders vertices as the host list does.
+Those are exactly the candidates a scan would push, in the same order, so
+the search and its first witness, edge assignment included, are unchanged.
+Any other node scans its range of the host, and the matcher is
+snapshotted only before a candidate's first push: a candidate turned down
+by an empty supply before that has changed nothing to restore.
+
+A complete pattern with a required edge takes increasing host positions,
+and two of them must land inside the edge, because the edge must hold both
+ends of the pattern edge it is assigned to.  With ``need`` vertices of the
+edge still to place, a position stops at the host position of the
+``need``-th last vertex of the edge, and a node with fewer than ``need``
+of them left gives up: a placement past that bound leaves too few of them
+for the later positions, which lie further on, so it holds no witness and
+the first witness is unchanged.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from collections import deque
@@ -207,31 +228,39 @@ class _Matcher:
 
 
 class _Index:
-    """Per-hypergraph lookup tables shared by many searches."""
+    """Per-hypergraph lookup tables shared by many searches.
 
-    __slots__ = ("n", "edges", "deg", "pair_edges", "id_of", "_cands")
+    ``adj[v]`` maps each vertex w that shares a hyperedge with v to the
+    ascending ids of those hyperedges, and ``adj[v][w]`` is ``adj[w][v]``:
+    the supply of the pair, and the keys of ``adj[v]`` are the neighbours
+    of v.
+    """
+
+    __slots__ = ("n", "edges", "deg", "adj", "id_of", "_cands")
 
     def __init__(self, h: Hypergraph) -> None:
         self.n = h.n
         self.edges: list[Edge] = []
         self.deg = [0] * h.n
-        self.pair_edges: dict[tuple[int, int], list[int]] = {}
+        self.adj: list[dict[int, list[int]]] = [{} for _ in range(h.n)]
         self.id_of: dict[Edge, int] = {}
         self._cands: dict[int, list[int]] = {}
-        for e in h.edges:
-            self.add(e)
+        self.add(*h.edges)
 
-    def add(self, e: Edge) -> None:
-        """Index the sorted, absent hyperedge ``e`` under the next id."""
-        eid = len(self.edges)
-        self.edges.append(e)
-        self.id_of[e] = eid
-        deg = self.deg
-        for v in e:
-            deg[v] += 1
-        pair_edges = self.pair_edges
-        for p in itertools.combinations(e, 2):
-            pair_edges.setdefault(p, []).append(eid)
+    def add(self, *edges: Edge) -> None:
+        """Index the sorted, absent hyperedges ``edges`` under the next ids."""
+        ids, id_of, deg, adj = self.edges, self.id_of, self.deg, self.adj
+        for eid, e in enumerate(edges, len(ids)):
+            ids.append(e)
+            id_of[e] = eid
+            for v in e:
+                deg[v] += 1
+            for a, b in itertools.combinations(e, 2):
+                shared = adj[a].get(b)
+                if shared is None:
+                    adj[a][b] = adj[b][a] = [eid]
+                else:
+                    shared.append(eid)
         self._cands.clear()
 
     def candidates(self, need: int) -> list[int]:
@@ -239,10 +268,9 @@ class _Index:
         cached = self._cands.get(need)
         if cached is None:
             deg = self.deg
-            cached = sorted(
-                (w for w in range(self.n) if deg[w] >= need),
-                key=lambda w: (-deg[w], w),
-            )
+            # the sort is stable, so ids ascend among equal degrees
+            cached = sorted([w for w in range(self.n) if deg[w] >= need],
+                            key=deg.__getitem__, reverse=True)
             self._cands[need] = cached
         return cached
 
@@ -468,6 +496,14 @@ def _prepared(f: Graph) -> _Pattern:
 # the search
 
 
+def _list_below(candidates: int) -> int:
+    """The neighbour count below which a search node lists the common
+    neighbours of its placed neighbours' images instead of scanning the
+    host: a quarter of the candidates, and 0 below 32 candidates, where a
+    scan costs less than building the list."""
+    return (candidates + 3) // 4 if candidates >= 32 else 0
+
+
 def _search(
     index: _Index,
     pattern: _Pattern | None,
@@ -499,14 +535,24 @@ def _search(
     if len(pattern.edges) > vid + (req_eid == vid):
         return None
 
-    # host candidates, best degree (counting the virtual edge) first
+    # host candidates, best degree (counting the virtual edge) first; a
+    # vertex's rank orders it the same way, as one integer
+    n = index.n
     deg = index.deg
     low = pattern.low
+    top = vid + 1  # no degree exceeds it, the virtual edge counted
+
+    def rank(w: int) -> int:
+        return w + n * (top - deg[w] - (w in vset))
+
     host = index.candidates(low)
     if vset:
-        host = [w for w in host if w not in forbidden_core]
-        host.extend(w for w in vset if deg[w] == low - 1 and w not in forbidden_core)
-        host.sort(key=lambda w: (-(deg[w] + (w in vset)), w))
+        # the virtual edge raises its vertices' degrees by one, which moves
+        # them to where their new degrees sort
+        host = [w for w in host if w not in vset and w not in forbidden_core]
+        for w in vset:
+            if deg[w] >= low - 1 and w not in forbidden_core:
+                bisect.insort(host, w, key=rank)
     elif forbidden_core:
         host = [w for w in host if w not in forbidden_core]
     if required_core and not required_core <= set(host):
@@ -526,17 +572,27 @@ def _search(
     less = pattern.less
     above = pattern.above
     back = pattern.back_edges
-    pair_edges_get = index.pair_edges.get
+    adj = index.adj
     # give up once no pattern edge can still land inside the required edge
     prune = required_edge is not None
     last_nbr = pattern.last_nbr
     last_pair = pattern.last_pair
     rsize = len(rset)
+    # a complete pattern takes increasing host positions, and two of them
+    # must lie inside the required edge: its vertices' host positions
+    inside_at = None
+    if prune and pattern.unordered:
+        inside_at = sorted(host.index(r) for r in rset
+                           if r not in forbidden_core and deg[r] + (r in vset) >= low)
+    few = _list_below(len(host))
+    # every candidate's rank lies below past, and no other vertex's does
+    past = n * (top - low + 1)
     matcher = _Matcher()
     image = [-1] * nf
-    # the host position of each placed position; the extra last slot, read
-    # as placed_at[-1] for a position without a bound, stays -1
-    placed_at = [-1] * (nf + 1)
+    # the host position of each placed position's image, None where it came
+    # from a list of common neighbours; the extra last slot, read as
+    # placed_at[-1] for a position without a bound, stays -1
+    placed_at: list[int | None] = [-1] * (nf + 1)
     used: set[int] = set()
     at = {w: p for p, w in enumerate(host)} if required_core else {}
 
@@ -552,8 +608,7 @@ def _search(
                 if q >= i:
                     return True
                 a = image[q]
-                if not (pair_edges_get((a, r) if a < r else (r, a))
-                        or (a in vset and r in vset)):
+                if not (r in adj[a] or a in vset and r in vset):
                     break
             else:
                 return True
@@ -579,11 +634,48 @@ def _search(
             if i > horizon:
                 return None
             inside_only = i == horizon  # a vertex outside it leaves level i + 1 giving up
-        # lex-leader: start after the host position of less[i], and leave
-        # room for the later positions forced after i, which share its limit
+        # lex-leader: start after the host position of less[i], and end at
+        # stop, which leaves room for the later positions forced after i
+        # (they share its limit); a complete pattern with need vertices of
+        # the required edge still to place ends after the need-th last
+        need = 2 - in_req_edge if inside_at is not None and in_req_edge < 2 else 0
+        if need and need > len(inside_at):
+            return None
         back_i = back[i]
-        for p in range(placed_at[less[i]] + 1, limit[i] - above[i]):
-            w = host[p]
+        stop = limit[i] - above[i]
+        if few and back_i and len(adj[image[back_i[-1]]]) < few:
+            # few vertices share a hyperedge with the latest placed
+            # neighbour's image: list those sharing one with the image of
+            # every placed neighbour, in host order (ascending rank), as
+            # only they have a supply for every back edge
+            near = None
+            for j in back_i:
+                a = image[j]
+                a_near = adj[a].keys() | vset if a in vset else adj[a].keys()
+                near = a_near if near is None else near & a_near
+            if forbidden_core:
+                near = near - forbidden_core
+            lo = rank(image[less[i]]) if less[i] >= 0 else -1
+            hi = 0 if stop <= 0 else past if stop >= len(host) else rank(host[stop])
+            if need:
+                hi = min(hi, rank(host[inside_at[-need]]) + 1)
+            if required_core and above[i] == nf - 1 - i:
+                # a scan would stop after the first required vertex
+                hi = min([hi, *(rank(r) + 1 for r in required_core if r not in used)])
+            # rank(w), inlined
+            ranks = sorted(r for w in near if lo < (r := w + n * (top - deg[w] - (w in vset))) < hi)
+            src = [r % n for r in ranks]
+            first, stop = 0, len(src)
+        else:
+            src = host
+            first = placed_at[less[i]]
+            if first is None:
+                first = bisect.bisect_left(host, rank(image[less[i]]), key=rank)
+            first += 1
+            if need:
+                stop = min(stop, inside_at[-need] + 1)
+        for p in range(first, stop):
+            w = src[p]
             if w in used or inside_only and w not in rset and w not in required_core:
                 continue
             # snapshot only before the first push: a candidate turned down by
@@ -591,7 +683,7 @@ def _search(
             snap = None
             for j in back_i:
                 a = image[j]
-                supply = pair_edges_get((a, w) if a < w else (w, a), ())
+                supply = adj[a].get(w, ())
                 if a in vset and w in vset:
                     supply = (*supply, vid)  # never extend the index's list
                 if not supply:
@@ -602,7 +694,7 @@ def _search(
                     break
             else:
                 image[i] = w
-                placed_at[i] = p
+                placed_at[i] = p if src is host else None
                 used.add(w)
                 next_reach = reach
                 if prune and w in rset:

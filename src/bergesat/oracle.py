@@ -9,7 +9,9 @@ prefix that maps a pattern edge onto a pair no host edge covers.
 ``saturation_violations`` probes every missing k-set on its own, the
 reference for the verifier's pair memo; ``orbit_representatives`` lists the k-sets orbit mode reports.
 ``min_saturation_search`` enumerates all edge subsets of bounded size and
-is the ground truth for saturation numbers on tiny instances.
+is the ground truth for saturation numbers on tiny instances; it runs the
+oracle's search on edge tuples, and builds a ``Hypergraph`` only for the
+witness it returns.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from dataclasses import dataclass
 from math import comb
 
 from . import engine, saturation
-from .core import Graph, Hypergraph, _as_edge, add_edge, is_k_uniform, missing_edges
+from .core import Graph, Hypergraph, _as_edge, is_k_uniform, missing_edges
+from .core import add_edge  # noqa: F401  (perfbench/tracing.py patches oracle.add_edge)
 
 MAX_ORACLE_PATTERN_EDGES = 6
 MAX_ORACLE_HOST_EDGES = 8
@@ -41,16 +44,27 @@ def berge_oracle(f: Graph, h: Hypergraph) -> bool:
     unused host vertices can take them, so the placement recurses at most
     ``2 * MAX_ORACLE_PATTERN_EDGES`` deep.
     """
-    if len(f.edges) > MAX_ORACLE_PATTERN_EDGES:
-        raise ValueError(f"pattern has {len(f.edges)} > {MAX_ORACLE_PATTERN_EDGES} edges")
+    _check_pattern(f)
     if len(h.edges) > MAX_ORACLE_HOST_EDGES:
         raise ValueError(f"host has {len(h.edges)} > {MAX_ORACLE_HOST_EDGES} edges")
-    if f.n > h.n or len(f.edges) > len(h.edges):
+    return _berge_copy(f, h.n, h.edges)
+
+
+def _check_pattern(f: Graph) -> None:
+    if len(f.edges) > MAX_ORACLE_PATTERN_EDGES:
+        raise ValueError(f"pattern has {len(f.edges)} > {MAX_ORACLE_PATTERN_EDGES} edges")
+
+
+def _berge_copy(f: Graph, n: int, edges: tuple[tuple[int, ...], ...]) -> bool:
+    """``berge_oracle`` on the host with vertices [0, n) and ``edges``,
+    without its caps or a validated ``Hypergraph``: the caller vouches that
+    the edges are distinct sorted vertex tuples and that the sizes are tiny."""
+    if f.n > n or len(f.edges) > len(edges):
         return False
-    host_sets = [set(e) for e in h.edges]
+    host_sets = [set(e) for e in edges]
     # the covered pairs, as the vertices sharing a host edge with each vertex
     shares: dict[int, set[int]] = {}
-    for e in h.edges:
+    for e in edges:
         for v in e:
             shares.setdefault(v, set()).update(e)
     in_edges = set(shares)
@@ -73,7 +87,7 @@ def berge_oracle(f: Graph, h: Hypergraph) -> bool:
         return False
 
     placed: dict[int, int] = {}
-    taken = [False] * h.n
+    taken = [False] * n
 
     def place(i: int) -> bool:
         if i == len(order):
@@ -165,11 +179,19 @@ class SearchResult:
     examined: int
 
 
-def _is_saturated_by_oracle(h: Hypergraph, f: Graph, k: int) -> bool:
-    if berge_oracle(f, h):
+def _is_saturated_by_oracle(f: Graph, n: int, universe: list[tuple[int, ...]],
+                            edges: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether the host on [0, n) with ``edges``, a subset of ``universe``
+    (all k-sets), is Berge-F-saturated, decided by ``_berge_copy``.  A host
+    with a missing k-set and at most |E(F)| - 2 edges is free and stays free
+    with any one more edge, so it is answered without a search."""
+    if len(edges) + 1 < len(f.edges) and len(edges) < len(universe):
+        return False
+    if _berge_copy(f, n, edges):
         return False
     # free, so any Berge copy in h + e necessarily uses e
-    return all(berge_oracle(f, add_edge(h, e)) for e in missing_edges(h, k))
+    present = set(edges)
+    return all(_berge_copy(f, n, edges + (e,)) for e in universe if e not in present)
 
 
 def min_saturation_search(
@@ -177,7 +199,7 @@ def min_saturation_search(
 ) -> SearchResult | None:
     """Smallest edge count of a saturated k-uniform hypergraph on n vertices,
     by enumerating all edge subsets of size 0..m_max in lexicographic order
-    and deciding each with ``berge_oracle``.
+    and deciding each with ``berge_oracle``'s search (``_is_saturated_by_oracle``).
 
     The witness returned is the lexicographically least subset of minimum
     size, and ``examined`` counts every subset enumerated up to it.
@@ -194,12 +216,12 @@ def min_saturation_search(
         raise ValueError(f"C({n},{k}) exceeds the cap of {MAX_SEARCH_KSETS} possible edges")
     if m_max > MAX_SEARCH_EDGES:
         raise ValueError(f"m_max={m_max} exceeds the cap of {MAX_SEARCH_EDGES}")
+    _check_pattern(f)
     universe = list(itertools.combinations(range(n), k))
     examined = 0
     for m in range(m_max + 1):
         for subset in itertools.combinations(universe, m):
             examined += 1
-            h = Hypergraph(n, subset)
-            if _is_saturated_by_oracle(h, f, k):
-                return SearchResult(m_star=m, witness_h=h, examined=examined)
+            if _is_saturated_by_oracle(f, n, universe, subset):
+                return SearchResult(m_star=m, witness_h=Hypergraph(n, subset), examined=examined)
     return None

@@ -251,7 +251,9 @@ class TestRequiredEdgePrune:
         assert verdicts[True] > 20 and verdicts[False] > 20
 
     def test_prune_cuts_path_probes(self, monkeypatch):
-        # these 20 probes make 126 pushes, and 3,365 without the prune
+        # these 20 probes make 60 pushes, 126 when a position also tries the
+        # vertices outside the edge that the next level rejects, and 20,130
+        # without the prune
         h = build_s(40, 3, 4)[0]
         index = engine._Index(h)
         pattern = engine._Pattern(make_path(4))
@@ -276,7 +278,9 @@ class TestRequiredEdgePrune:
 
     def test_snapshot_taken_only_before_a_push(self, monkeypatch):
         # clique probes and plain searches, which the prune does not touch:
-        # 1,014 snapshots, and 1,957 with one snapshot per candidate
+        # 629 snapshots, 682 when a clique's positions run past the last
+        # vertices of the probed edge that leave enough of them, and 1,957
+        # with one snapshot per candidate
         snapshots = _count(monkeypatch, "snapshot")
         rng = random.Random(5)
         found = 0
@@ -289,7 +293,7 @@ class TestRequiredEdgePrune:
                 for t in itertools.islice(missing_edges(h, 3), probes):
                     found += engine._search(index, pattern, required_edge=t) is not None
         assert found == 106
-        assert snapshots[0] < 1500
+        assert snapshots[0] < 660
 
 
 def _distinct_choice(choices, used=frozenset()):
@@ -300,15 +304,19 @@ def _distinct_choice(choices, used=frozenset()):
     return any(_distinct_choice(choices[1:], used | {e}) for e in choices[0] if e not in used)
 
 
-def _brute_force_contains(f, h, required, forbidden):
+def _brute_force_contains(f, h, required, forbidden, edge=None):
     """Some injection of V(f) covering ``required`` and avoiding ``forbidden``
-    gives the pattern edges distinct containing hyperedges."""
+    gives the pattern edges distinct containing hyperedges, ``edge`` among
+    them when given."""
     allowed = [v for v in range(h.n) if v not in forbidden]
     for image in itertools.permutations(allowed, f.n):
         if not required <= set(image):
             continue
         choices = [[e for e in h.edges if image[x] in e and image[y] in e] for x, y in f.edges]
-        if _distinct_choice(choices):
+        if edge is None and _distinct_choice(choices):
+            return True
+        if edge is not None and any(edge in c and _distinct_choice(choices[:d] + choices[d + 1:], {edge})
+                                    for d, c in enumerate(choices)):
             return True
     return False
 
@@ -371,6 +379,97 @@ class TestRequiredCorePrune:
                 found += find_berge_witness(f, h, c) is not None
         assert found == 36
         assert pushes[0] < 8000
+
+
+CUT_SHAPES = [K3, K4, make_clique(5), make_cycle(4), make_cycle(5)]
+
+
+def _listing(monkeypatch, mode):
+    """Make every search node list the common neighbours of its placed
+    neighbours' images ("all"), or scan the host at every node ("none")."""
+    monkeypatch.setattr(engine, "_list_below", {"all": lambda c: c + 1, "none": lambda c: 0}[mode])
+
+
+def _sparse_hypergraph(rng, n):
+    """About n random triples and pairs on n vertices, plus two hubs in a
+    third of the triples: most vertices share a hyperedge with few others,
+    so a search lists their neighbours, and scans after placing a hub."""
+    edges = {tuple(sorted(rng.sample(range(n), rng.choice((2, 3, 3))))) for _ in range(n)}
+    for hub in (0, 1):
+        for _ in range(n // 3):
+            edges.add(tuple(sorted({hub, *rng.sample(range(2, n), 2)})))
+    return Hypergraph(n, tuple(sorted(edges)))
+
+
+class TestNeighbourLists:
+    """A node that lists the common neighbours of its placed neighbours'
+    images visits exactly the candidates a scan pushes, in the same order,
+    and a complete pattern's positions stop where too few vertices of the
+    required edge are left; neither changes an answer or a witness."""
+
+    @pytest.mark.parametrize("mode", ["all", "none"])
+    def test_searches_match_brute_force(self, monkeypatch, mode):
+        _listing(monkeypatch, mode)
+        rng = random.Random(2417)
+        verdicts = {True: 0, False: 0}
+        for _ in range(120):
+            h = random_hypergraph(rng, max_vertices=7, max_edges=8, max_edge_size=3)
+            f = rng.choice(CUT_SHAPES)
+            required = frozenset(rng.sample(range(h.n), rng.randint(1, 2)))
+            forbidden = frozenset(rng.sample([v for v in range(h.n) if v not in required], 1))
+            kinds = [SearchConstraints(), SearchConstraints(required_core=required),
+                     SearchConstraints(forbidden_core=forbidden)]
+            kinds += [SearchConstraints(required_edge=e) for e in rng.sample(h.edges, min(2, len(h.edges)))]
+            for c in kinds:
+                w = find_berge_witness(f, h, c)
+                expected = _brute_force_contains(f, h, c.required_core, c.forbidden_core, c.required_edge)
+                assert (w is not None) == expected, (h, f.edges, c)
+                if w is not None:
+                    validate_witness(f, h, w)
+                    image = set(w.core_map.values())
+                    assert c.required_core <= image and not c.forbidden_core & image
+                    assert c.required_edge is None or c.required_edge in w.edge_map.values()
+                verdicts[expected] += 1
+            if len(f.edges) <= 6:
+                assert contains_berge(f, h) == berge_oracle(f, h)
+            t = tuple(sorted(rng.sample(range(h.n), rng.randint(2, min(4, h.n)))))
+            if t not in h.edge_set():
+                probe = creates_new_berge(h, t, f)
+                g = add_edge(h, t)
+                assert probe == _brute_force_contains(f, g, frozenset(), frozenset(), t), (h, t, f.edges)
+                if len(f.edges) <= 6 and not berge_oracle(f, h):
+                    assert probe == berge_oracle(f, g)
+                verdicts[probe] += 1
+        assert verdicts[True] > 100 and verdicts[False] > 100
+
+    def test_listing_and_scanning_give_identical_witnesses(self, monkeypatch):
+        # hosts of 32 to 60 vertices, where the default lists at sparse
+        # nodes and scans at the others
+        patterns = CUT_SHAPES + [K23, make_path(4), make_star(3)]
+        prepared = [engine._Pattern(f) for f in patterns]
+        outputs = {}
+        verdicts = {True: 0, False: 0}
+        for mode in ("none", "all", None):
+            if mode is None:
+                monkeypatch.undo()
+            else:
+                _listing(monkeypatch, mode)
+            draw = random.Random(3307)  # the same hosts and constraints each time
+            outputs[mode] = out = []
+            for _ in range(16):
+                h = _sparse_hypergraph(draw, draw.randint(32, 60))
+                index = engine._Index(h)
+                for pattern in prepared:
+                    req = frozenset(draw.sample(range(h.n), draw.randint(0, 2)))
+                    forb = frozenset(draw.sample(range(h.n), draw.randint(0, 2))) - req
+                    t = tuple(sorted(draw.sample(range(h.n), 3)))
+                    for edge in (None, draw.choice(h.edges), t):
+                        for r, fb in ((frozenset(), frozenset()), (req, frozenset()), (frozenset(), forb)):
+                            w = engine._search(index, pattern, r, fb, edge)
+                            out.append(w and w.serialize())
+                            verdicts[w is not None] += mode is None
+        assert outputs["none"] == outputs["all"] == outputs[None]
+        assert verdicts[True] > 300 and verdicts[False] > 300
 
 
 def _automorphisms(f):
@@ -566,16 +665,21 @@ class TestIndexGrowth:
                 assert after == [fresh.candidates(need) for need in range(4)]
                 changed += after != stale
             built = engine._Index(h)
-            for name in ("edges", "deg", "pair_edges", "id_of"):
+            for name in ("edges", "deg", "adj", "id_of"):
                 assert getattr(grown, name) == getattr(built, name)
-            # and against tables built here, without the index
-            pair_edges = {}
+            # and against tables built here, without the index: the ids of
+            # the edges through each pair, both ways round, and the
+            # neighbours of each vertex
+            adj = [{} for _ in range(h.n)]
             for eid, e in enumerate(h.edges):
-                for p in itertools.combinations(e, 2):
-                    pair_edges.setdefault(p, []).append(eid)
+                for a, b in itertools.permutations(e, 2):
+                    adj[a].setdefault(b, []).append(eid)
             assert grown.edges == list(h.edges)
             assert grown.deg == h.degrees()
-            assert grown.pair_edges == pair_edges
+            assert grown.adj == adj
+            for v in range(h.n):
+                assert set(grown.adj[v]) == {w for e in h.edges if v in e for w in e} - {v}
+                assert all(grown.adj[v][w] is grown.adj[w][v] for w in grown.adj[v])
             assert grown.id_of == {e: eid for eid, e in enumerate(h.edges)}
         assert changed > 100
 
@@ -584,14 +688,14 @@ class TestIndexGrowth:
         # an extension of the index's own id list
         h = build_s(21, 3, 4)[0]
         index = engine._Index(h)
-        before = {p: list(ids) for p, ids in index.pair_edges.items()}
+        before = [{w: list(ids) for w, ids in near.items()} for near in index.adj]
         found = 0
         for f in (K3, K4, make_cycle(4)):
             pattern = engine._Pattern(f)
             for t in itertools.islice(missing_edges(h, 3), 0, 1300, 13):
                 found += engine._search(index, pattern, required_edge=t) is not None
         assert found > 50
-        assert index.pair_edges == before and len(index.edges) == len(h.edges)
+        assert index.adj == before and len(index.edges) == len(h.edges)
 
 
 class TestDominanceTransfer:

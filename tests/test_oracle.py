@@ -567,6 +567,26 @@ class TestMinSaturationSearch:
         with pytest.raises(ValueError):
             min_saturation_search(5, k, K3, m_max)
 
+    def test_small_free_subsets_need_no_search(self, monkeypatch):
+        # with at most |E(K4)| - 2 = 4 edges and a missing 3-set, a host is
+        # free and stays free with one more edge: unsaturated, unsearched
+        calls = []
+        real = oracle._berge_copy
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "_berge_copy", counting)
+        assert min_saturation_search(6, 3, K4, 4) is None
+        assert not calls
+        assert min_saturation_search(6, 3, K4, 5).m_star == 5
+        assert calls
+
+    def test_pattern_cap_still_enforced(self):
+        with pytest.raises(ValueError, match="pattern has 10 > 6 edges"):
+            min_saturation_search(6, 3, make_clique(5), 4)
+
     @pytest.mark.parametrize("n,k", [(5, 2), (5, 3), (6, 2), (6, 3)])
     @pytest.mark.parametrize("f", [K3, make_path(3), make_cycle(4), make_star(3)],
                              ids=["K3", "P3", "C4", "K13"])
