@@ -62,8 +62,8 @@ A pattern edge between a candidate and a placed neighbour's image can only
 take a hyperedge holding both, so only a vertex that shares a hyperedge with
 the image of every placed pattern neighbour (the virtual edge counted) can
 take a position.  Where the latest placed neighbour's image has few
-neighbours (under a quarter of the candidates, on hosts of 32 or more;
-``_list_below``), a node intersects the neighbour sets of the placed
+neighbours (fewer, times ``_LIST_FACTOR``, than the host positions a scan
+would end at), a node intersects the neighbour sets of the placed
 neighbours' images (``_Index.adj``) and visits only the common neighbours,
 sorted by rank, an integer that orders vertices as the host list does.
 Those are exactly the candidates a scan would push, in the same order, so
@@ -74,12 +74,12 @@ by an empty supply before that has changed nothing to restore.
 
 A complete pattern with a required edge takes increasing host positions,
 and two of them must land inside the edge, because the edge must hold both
-ends of the pattern edge it is assigned to.  With ``need`` vertices of the
-edge still to place, a position stops at the host position of the
-``need``-th last vertex of the edge, and a node with fewer than ``need``
-of them left gives up: a placement past that bound leaves too few of them
-for the later positions, which lie further on, so it holds no witness and
-the first witness is unchanged.
+ends of the pattern edge it is assigned to.  With j vertices of the edge
+placed (j < 2), a position stops at the host position of the (2 - j)-th
+last vertex of the edge, and a search whose edge has fewer than two
+candidates gives up at once: a placement past that bound leaves too few of
+them for the later positions, which lie further on, so it holds no witness
+and the first witness is unchanged.
 """
 
 from __future__ import annotations
@@ -194,9 +194,18 @@ class _Matcher:
         del self.supplies[depth:]
 
     def push(self, supply: Sequence[int]) -> bool:
+        """Add a demand with the non-empty ``supply``; False if the matching
+        can no longer cover every demand."""
         self.supplies.append(supply)
+        d = len(self.assigned)
+        e = supply[0]
+        if e not in self.owner:
+            # the first step of _augment, without its visited set
+            self.owner[e] = d
+            self.assigned.append(e)
+            return True
         self.assigned.append(-1)
-        return self._augment(len(self.supplies) - 1, set())
+        return self._augment(d, set())
 
     def _augment(self, d: int, visited: set[int]) -> bool:
         for e in self.supplies[d]:
@@ -244,7 +253,7 @@ class _Index:
         self.deg = [0] * h.n
         self.adj: list[dict[int, list[int]]] = [{} for _ in range(h.n)]
         self.id_of: dict[Edge, int] = {}
-        self._cands: dict[int, list[int]] = {}
+        self._cands: dict[int, tuple[list[int], int]] = {}
         self.add(*h.edges)
 
     def add(self, *edges: Edge) -> None:
@@ -263,14 +272,17 @@ class _Index:
                     shared.append(eid)
         self._cands.clear()
 
-    def candidates(self, need: int) -> list[int]:
-        """Vertices of hyperedge degree >= need, best degree first."""
+    def candidates(self, need: int) -> tuple[list[int], int]:
+        """Vertices of hyperedge degree >= need, best degree first, and the
+        fewest neighbours any of them has."""
         cached = self._cands.get(need)
         if cached is None:
             deg = self.deg
             # the sort is stable, so ids ascend among equal degrees
-            cached = sorted([w for w in range(self.n) if deg[w] >= need],
-                            key=deg.__getitem__, reverse=True)
+            cands = sorted([w for w in range(self.n) if deg[w] >= need],
+                           key=deg.__getitem__, reverse=True)
+            adj = self.adj
+            cached = cands, min([len(adj[w]) for w in cands], default=0)
             self._cands[need] = cached
         return cached
 
@@ -496,12 +508,10 @@ def _prepared(f: Graph) -> _Pattern:
 # the search
 
 
-def _list_below(candidates: int) -> int:
-    """The neighbour count below which a search node lists the common
-    neighbours of its placed neighbours' images instead of scanning the
-    host: a quarter of the candidates, and 0 below 32 candidates, where a
-    scan costs less than building the list."""
-    return (candidates + 3) // 4 if candidates >= 32 else 0
+# a node lists the common neighbours of its placed neighbours' images when
+# the latest one's neighbours, times this, are fewer than the positions its
+# scan would end at (BENCH_probe_kernel.json, "listing_rule")
+_LIST_FACTOR = 4
 
 
 def _search(
@@ -545,16 +555,28 @@ def _search(
     def rank(w: int) -> int:
         return w + n * (top - deg[w] - (w in vset))
 
-    host = index.candidates(low)
+    host, fewest = index.candidates(low)
+    adj = index.adj
+    # the host positions of the required edge's vertices, ascending
+    inside_at = []
     if vset:
         # the virtual edge raises its vertices' degrees by one, which moves
-        # them to where their new degrees sort
+        # them to where their new degrees sort; inserted in host order, each
+        # lands after the ones before, so its position is final
         host = [w for w in host if w not in vset and w not in forbidden_core]
-        for w in vset:
+        for w in sorted(vset, key=rank):
             if deg[w] >= low - 1 and w not in forbidden_core:
-                bisect.insort(host, w, key=rank)
-    elif forbidden_core:
-        host = [w for w in host if w not in forbidden_core]
+                p = bisect.bisect_left(host, rank(w), key=rank)
+                host.insert(p, w)
+                inside_at.append(p)
+                if len(adj[w]) < fewest:
+                    fewest = len(adj[w])
+    else:
+        if forbidden_core:
+            host = [w for w in host if w not in forbidden_core]
+        if rset and pattern.unordered:
+            inside_at = sorted(bisect.bisect_left(host, rank(r), key=rank) for r in rset
+                               if r not in forbidden_core and deg[r] >= low)
     if required_core and not required_core <= set(host):
         return None
     # position i may only use the prefix of host whose degrees admit its
@@ -572,19 +594,22 @@ def _search(
     less = pattern.less
     above = pattern.above
     back = pattern.back_edges
-    adj = index.adj
     # give up once no pattern edge can still land inside the required edge
     prune = required_edge is not None
     last_nbr = pattern.last_nbr
     last_pair = pattern.last_pair
     rsize = len(rset)
     # a complete pattern takes increasing host positions, and two of them
-    # must lie inside the required edge: its vertices' host positions
-    inside_at = None
+    # must lie inside the required edge: with j of them placed, a position
+    # ends after the host position of the (2 - j)-th last vertex of the edge
+    ends = None
     if prune and pattern.unordered:
-        inside_at = sorted(host.index(r) for r in rset
-                           if r not in forbidden_core and deg[r] + (r in vset) >= low)
-    few = _list_below(len(host))
+        if len(inside_at) < 2:
+            return None
+        ends = (inside_at[-2] + 1, inside_at[-1] + 1)
+    factor = _LIST_FACTOR
+    # no node lists where no host vertex has few enough neighbours
+    listing = fewest * factor < len(host)
     # every candidate's rank lies below past, and no other vertex's does
     past = n * (top - low + 1)
     matcher = _Matcher()
@@ -636,14 +661,13 @@ def _search(
             inside_only = i == horizon  # a vertex outside it leaves level i + 1 giving up
         # lex-leader: start after the host position of less[i], and end at
         # stop, which leaves room for the later positions forced after i
-        # (they share its limit); a complete pattern with need vertices of
-        # the required edge still to place ends after the need-th last
-        need = 2 - in_req_edge if inside_at is not None and in_req_edge < 2 else 0
-        if need and need > len(inside_at):
-            return None
+        # (they share its limit), and for the vertices of the required edge
+        # a complete pattern still has to place
         back_i = back[i]
         stop = limit[i] - above[i]
-        if few and back_i and len(adj[image[back_i[-1]]]) < few:
+        if ends is not None and in_req_edge < 2 and ends[in_req_edge] < stop:
+            stop = ends[in_req_edge]
+        if listing and back_i and len(adj[image[back_i[-1]]]) * factor < stop:
             # few vertices share a hyperedge with the latest placed
             # neighbour's image: list those sharing one with the image of
             # every placed neighbour, in host order (ascending rank), as
@@ -656,9 +680,7 @@ def _search(
             if forbidden_core:
                 near = near - forbidden_core
             lo = rank(image[less[i]]) if less[i] >= 0 else -1
-            hi = 0 if stop <= 0 else past if stop >= len(host) else rank(host[stop])
-            if need:
-                hi = min(hi, rank(host[inside_at[-need]]) + 1)
+            hi = past if stop >= len(host) else rank(host[stop])
             if required_core and above[i] == nf - 1 - i:
                 # a scan would stop after the first required vertex
                 hi = min([hi, *(rank(r) + 1 for r in required_core if r not in used)])
@@ -672,8 +694,6 @@ def _search(
             if first is None:
                 first = bisect.bisect_left(host, rank(image[less[i]]), key=rank)
             first += 1
-            if need:
-                stop = min(stop, inside_at[-need] + 1)
         for p in range(first, stop):
             w = src[p]
             if w in used or inside_only and w not in rset and w not in required_core:

@@ -386,8 +386,9 @@ CUT_SHAPES = [K3, K4, make_clique(5), make_cycle(4), make_cycle(5)]
 
 def _listing(monkeypatch, mode):
     """Make every search node list the common neighbours of its placed
-    neighbours' images ("all"), or scan the host at every node ("none")."""
-    monkeypatch.setattr(engine, "_list_below", {"all": lambda c: c + 1, "none": lambda c: 0}[mode])
+    neighbours' images ("all"), or scan the host at every node ("none": a
+    count times infinity is never below a position, and 0 times it is nan)."""
+    monkeypatch.setattr(engine, "_LIST_FACTOR", {"all": 0, "none": float("inf")}[mode])
 
 
 def _sparse_hypergraph(rng, n):
