@@ -48,7 +48,7 @@ The prune removes only placements whose matching could never be rerouted
 onto the required edge, so the first witness found is unchanged.  A vertex
 placed outside the required edge changes neither count, so where the next
 level would give up on it (after the last position: no placed edge inside),
-a position tries only vertices inside the edge, and required core vertices.
+a position tries only vertices inside the edge.
 
 A search with a required core looks ahead in the same way: each required
 vertex not yet placed needs an open position whose degree prefix of the host
@@ -696,7 +696,7 @@ def _search(
             first += 1
         for p in range(first, stop):
             w = src[p]
-            if w in used or inside_only and w not in rset and w not in required_core:
+            if w in used or inside_only and w not in rset:
                 continue
             # snapshot only before the first push: a candidate turned down by
             # an empty supply has changed nothing

@@ -222,11 +222,20 @@ class _Scan:
         of the core images of the pattern edge it assigns to ``t``, and a
         failure marks bad the key of every pair of ``t``.  A scan that keeps
         ``proofs`` appends each such (t, witness) to them.
+
+        The keys are computed one at a time, and the first one known good
+        answers: nothing is read or marked before it but ``good``, so the
+        answers, probes and marks are those of testing the whole list.  On a
+        saturated host nearly every set stops at its first key, and the list
+        is completed only for a set with no good pair.
         """
         key, good, bad = self.key, self.good, self.bad
-        keys = [_pair_key(key[a], key[b]) for a, b in itertools.combinations(t, 2)]
-        if not good.isdisjoint(keys):
-            return True
+        keys = []
+        for a, b in itertools.combinations(t, 2):
+            pk = _pair_key(key[a], key[b])
+            if pk in good:
+                return True
+            keys.append(pk)
         if bad.issuperset(keys):
             return False
         w = engine._search(self.index, self.pattern, required_edge=t)
@@ -489,30 +498,47 @@ def _sample_missing(h: Hypergraph, k: int, count: int, seed: int) -> list[Edge]:
     The picks are positions among the missing k-sets.  Both the picks and
     the ranks of the existing edges are sorted, so one merge turns each
     pick into a rank: the missing k-set at position ``i`` has rank ``i + j``
-    once ``j`` existing edges rank at or below it.  A rank is unranked by one
-    bisection per position d: ``below[d][u]`` = C(n, k-d) - C(n-u, k-d)
-    counts the (k-d)-sets of [0, n) whose least vertex is below u, so the
-    k-sets that agree with a prefix ending before s and hold a vertex below
-    u at position d number ``below[d][u] - below[d][s]``.
+    once ``j`` existing edges rank at or below it.
+
+    Each rank is unranked from the one before it.  The k-sets that share
+    their first k-1 vertices have consecutive ranks and differ only in the
+    last vertex, one step per rank, so a rank that stays in the previous
+    set's run moves only that vertex, by the difference of the ranks.  Any
+    other rank is unranked by one bisection per position d < k-1:
+    ``below[d][u]`` = C(n, k-d) - C(n-u, k-d) counts the (k-d)-sets of
+    [0, n) whose least vertex is below u, so the k-sets that agree with a
+    prefix ending before s and hold a vertex below u at position d number
+    ``below[d][u] - below[d][s]``.  That row is the identity for d = k-1, so
+    what is left of the rank there is the last vertex's offset from s.  One
+    sampled set thus costs its merge step and either one tuple or k-1
+    bisections.
     """
     n = h.n
     total = count_missing_edges(h, k)
     existing = sorted(_rank_kset(e, n) for e in h.edges if len(e) == k)
     rng = random.Random(seed)
     picks = sorted(rng.sample(range(total), min(count, total)))
-    below = [[comb(n, k - d) - comb(n - u, k - d) for u in range(n + 1)] for d in range(k)]
+    below = [[comb(n, k - d) - comb(n - u, k - d) for u in range(n + 1)] for d in range(k - 1)]
     out: list[Edge] = []
     j = 0
+    prev, last = -1, n  # the previous set's rank and last vertex; no run before the first
     for i in picks:
         while j < len(existing) and existing[j] <= i + j:
             j += 1
-        rank, s, t = i + j, 0, []
-        for row in below:
-            rank += row[s]
-            s = bisect_right(row, rank)
-            rank -= row[s - 1]
-            t.append(s - 1)
-        out.append(tuple(t))
+        rank = i + j
+        last += rank - prev
+        if last < n:  # same first k-1 vertices as the previous set
+            out.append((*out[-1][:-1], last))
+        else:
+            r, s, t = rank, 0, []
+            for row in below:
+                r += row[s]
+                s = bisect_right(row, r)
+                r -= row[s - 1]
+                t.append(s - 1)
+            last = s + r
+            out.append((*t, last))
+        prev = rank
     return out
 
 

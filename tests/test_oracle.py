@@ -178,6 +178,15 @@ class TestGreedyAgainstReference:
                         got = greedy_saturate(h, f, k, order)
                         assert got.edges == expected.edges
 
+    def test_bad_marks_dropped_after_an_accept(self):
+        # a set whose pair keys were all marked bad can create a new copy once
+        # another edge is added: a greedy that kept its bad marks accepts one
+        # here, and its certificate check raises
+        h = Hypergraph(6, ((2, 4),))
+        got = greedy_saturate(h, make_cycle(5), 2)
+        assert got.edges == reference_greedy(h, make_cycle(5), 2).edges
+        assert len(got.edges) == 9
+
     def test_default_order_walks_only_open_prefixes(self, monkeypatch):
         # every 3-set through a pair known good is skipped with its prefix: 78
         # accept calls when measured, against 9,880 for every missing 3-set

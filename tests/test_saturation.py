@@ -132,6 +132,28 @@ class TestIsSaturated:
                     picks = sorted(random.Random(seed).sample(range(total), count))
                     assert saturation._sample_missing(h, k, count, seed) == [missing[i] for i in picks]
 
+    def test_sampler_edge_cases_match_indexing_the_missing_sets(self):
+        # (0, 1, 4) and (0, 1, 7) share a run with two existing edges between
+        # them; k = 2 and k = n; edges of other sizes must be ignored
+        hosts = [
+            (Hypergraph(8, ((0, 1, 5), (0, 1, 6), (2, 3, 4), (5, 6, 7))), 3),
+            (Hypergraph(7, ((0, 3), (0, 4), (1, 2), (5, 6))), 2),
+            (Hypergraph(5, ()), 5),
+            (Hypergraph(5, ((0, 1, 2, 3, 4),)), 5),
+            (Hypergraph(7, ((0, 1), (0, 1, 2), (0, 1, 3, 4), (2, 3, 4), (0, 1, 2, 3, 4, 5, 6))), 3),
+        ]
+        for h, k in hosts:
+            missing = list(missing_edges(h, k))
+            total = len(missing)
+            assert total == count_missing_edges(h, k)
+            for seed in range(4):
+                for count in (0, 1, 2, total // 2, total):
+                    picks = sorted(random.Random(seed).sample(range(total), min(count, total)))
+                    expected = [missing[i] for i in picks]
+                    assert saturation._sample_missing(h, k, count, seed) == expected
+        whole = saturation._sample_missing(*hosts[0], 52, 0)
+        assert whole[whole.index((0, 1, 4)) + 1] == (0, 1, 7)
+
     def test_sample_larger_than_population(self):
         h, _ = build_c_k_4(3)
         report = is_saturated(h, K4, 3, sample=10_000, seed=0)
