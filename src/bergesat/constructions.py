@@ -194,6 +194,8 @@ def build_h_feedback(
         s = tuple(sorted(s))
         if any(not 0 <= v < g.n for v in s):
             raise ValueError("feedback set out of range")
+        if twice := [v for v, w in zip(s, s[1:]) if v == w]:
+            raise ValueError(f"feedback set repeats vertex {twice[0]}")
         if not _is_acyclic_after_removal(g, frozenset(s)):
             raise ValueError("supplied set is not a feedback set")
         f = len(s)

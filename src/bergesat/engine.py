@@ -29,15 +29,16 @@ it leaves s[0..j-1] and puts s[i] at j, hence s[j] < s[i].  Position i
 therefore starts its host loop after every such j (``_Pattern.less`` keeps
 the latest, built from automorphisms verified on the edge set), and leaves
 room for the later positions forced after it, whose pattern degrees, hence
-limits, equal its own; when every later position is forced after it, a
-required vertex passed over at i can no longer be placed.  The least valid
-s meets all of these bounds, and the matcher's state
-at a node depends only on the node's path, so the witness, its edge
-assignment included, is the one the unbounded search finds.  With every
-pair found, one placement of each class related by automorphisms meets the
-bounds (one in ten for C5, in 12 for K_{2,3}); a complete pattern's core
-set becomes unordered.  Preparing a pattern costs more than most searches,
-so each distinct pattern is prepared once (``_prepared``).
+limits, equal its own.  When every later position is forced after it, i
+ends just after the first required vertex still unplaced, which no later
+position could take: one bound on a node's candidates, listed or scanned.
+The least valid s meets all of these bounds, and the matcher's state at a
+node depends only on the node's path, so the witness, its edge assignment
+included, is the one the unbounded search finds.  With every pair found,
+one placement of each class related by automorphisms meets the bounds (one
+in ten for C5, in 12 for K_{2,3}); a complete pattern's core set becomes
+unordered.  Preparing a pattern costs more than most searches, so each
+distinct pattern is prepared once (``_prepared``).
 
 A search with a required edge gives up on a partial placement once no
 pattern edge can still end with both endpoints inside that edge: an edge
@@ -48,7 +49,11 @@ The prune removes only placements whose matching could never be rerouted
 onto the required edge, so the first witness found is unchanged.  A vertex
 placed outside the required edge changes neither count, so where the next
 level would give up on it (after the last position: no placed edge inside),
-a position tries only vertices inside the edge.
+a position tries only vertices inside the edge.  So the leaf cannot fail:
+with no placed pattern edge inside the required edge, the last position
+passes the give-up test only as the latest one joined to a placed position
+inside it, and takes a vertex of it; that pattern edge's supply holds the
+required edge, onto which the leaf reroutes the matching.
 
 A search with a required core looks ahead in the same way: each required
 vertex not yet placed needs an open position whose degree prefix of the host
@@ -219,17 +224,16 @@ class _Matcher:
                 return True
         return False
 
-    def force_use(self, eid: int) -> bool:
-        """Reroute the perfect matching so hyperedge ``eid`` is used."""
+    def force_use(self, eid: int) -> None:
+        """Reroute the matching onto hyperedge ``eid``, which a supply holds."""
         if eid in self.owner:
-            return True
+            return
         for d, supply in enumerate(self.supplies):
             if eid in supply:
                 del self.owner[self.assigned[d]]
                 self.owner[eid] = d
                 self.assigned[d] = eid
-                return True
-        return False
+                return
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +623,7 @@ def _search(
     # placed_at[-1] for a position without a bound, stays -1
     placed_at: list[int | None] = [-1] * (nf + 1)
     used: set[int] = set()
-    at = {w: p for p, w in enumerate(host)} if required_core else {}
+    at = {r: host.index(r) for r in required_core}
 
     def open_position(r: int, i: int) -> bool:
         """Some position j >= i can still take the unplaced vertex r: its
@@ -642,15 +646,13 @@ def _search(
     # reach is nf once a placed pattern edge lies inside the required edge,
     # else the latest position joined to a placed position inside it
     def rec(i: int, in_req_edge: int, req_left: int, reach: int):
+        if req_left and (req_left > nf - i or i and not all(
+                r in used or open_position(r, i) for r in required_core)):
+            return None
         if i == nf:
-            if req_left or (req_eid >= 0 and not matcher.force_use(req_eid)):
-                return None
+            if prune:  # reach is nf: a placed pattern edge's supply holds req_eid
+                matcher.force_use(req_eid)
             return _witness(index, pattern, image, matcher.assigned, required_edge)
-        if req_left:
-            if req_left > nf - i:
-                return None
-            if i and not all(r in used or open_position(r, i) for r in required_core):
-                return None
         inside_only = False
         if prune and reach < nf:
             # the last level that can still place a pattern edge inside the required edge
@@ -667,7 +669,11 @@ def _search(
         stop = limit[i] - above[i]
         if ends is not None and in_req_edge < 2 and ends[in_req_edge] < stop:
             stop = ends[in_req_edge]
-        if listing and back_i and len(adj[image[back_i[-1]]]) * factor < stop:
+        lists = listing and back_i and len(adj[image[back_i[-1]]]) * factor < stop
+        if req_left and above[i] == nf - 1 - i:
+            # every later position lies after i: a required vertex passed over is lost
+            stop = min([stop, *(at[r] + 1 for r in required_core if r not in used)])
+        if lists:
             # few vertices share a hyperedge with the latest placed
             # neighbour's image: list those sharing one with the image of
             # every placed neighbour, in host order (ascending rank), as
@@ -681,9 +687,6 @@ def _search(
                 near = near - forbidden_core
             lo = rank(image[less[i]]) if less[i] >= 0 else -1
             hi = past if stop >= len(host) else rank(host[stop])
-            if required_core and above[i] == nf - 1 - i:
-                # a scan would stop after the first required vertex
-                hi = min([hi, *(rank(r) + 1 for r in required_core if r not in used)])
             # rank(w), inlined
             ranks = sorted(r for w in near if lo < (r := w + n * (top - deg[w] - (w in vset))) < hi)
             src = [r % n for r in ranks]
@@ -720,19 +723,13 @@ def _search(
                 if prune and w in rset:
                     inside = any(image[j] in rset for j in back_i)
                     next_reach = max(reach, nf if inside else last_nbr[i])
-                res = rec(
-                    i + 1,
-                    in_req_edge + (w in rset),
-                    req_left - (w in required_core),
-                    next_reach,
-                )
+                res = rec(i + 1, in_req_edge + (w in rset), req_left - (w in required_core),
+                          next_reach)
                 if res:
                     return res
                 used.discard(w)
             if snap is not None:
                 matcher.restore(snap)
-            if w in required_core and above[i] == nf - 1 - i:
-                return None  # every later position lies after p: w is skipped for good
         return None
 
     return rec(0, 0, len(required_core), -1)

@@ -102,6 +102,15 @@ class TestGen:
         )
         assert code == 0 and payload["edge_count"] == 11
 
+    def test_gen_feedback_with_a_repeated_vertex_is_input_error(self, tmp_path, capsys, c5_path):
+        out = tmp_path / "hf.hg"
+        code, _, err = run(
+            capsys, "gen", "feedback", "--n", "20", "--k", "3", "--a", "2",
+            "--graph", str(c5_path), "--feedback-set", "0,0", "-o", str(out),
+        )
+        assert code == 2 and "repeats vertex 0" in err
+        assert not out.exists()
+
     def test_gen_too_small_is_input_error(self, tmp_path, capsys):
         code, out, err = run(
             capsys, "gen", "s", "--n", "6", "--k", "3", "--ell", "4",

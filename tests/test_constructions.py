@@ -217,6 +217,14 @@ class TestFeedbackFamily:
         with pytest.raises(ValueError):
             build_h_feedback(13, 3, 2, make_clique(4), s=(0,))
 
+    def test_repeated_feedback_vertex_rejected(self):
+        # counted twice, it used to double the edges and leave vertex 0 without a role
+        assert len(build_h_feedback(20, 3, 2, make_cycle(5), s=(0,))[0].edges) == 9
+        with pytest.raises(ValueError, match="repeats vertex 0"):
+            build_h_feedback(20, 3, 2, make_cycle(5), s=(0, 0))
+        with pytest.raises(ValueError, match="repeats vertex 2"):
+            build_h_feedback(13, 3, 2, make_clique(4), s=(2, 3, 2))
+
     def test_hypothesis_violations(self):
         with pytest.raises(ValueError):
             build_h_feedback(40, 4, 1, make_cycle(5))  # a + f < k

@@ -34,6 +34,11 @@ K4 = make_clique(4)
 DEGREE_SHAPES = small_patterns() + [Graph(3, ((0, 1),)), make_star(4)]
 
 
+# a K3 witness on the tight cycle, written by hand
+TIGHT_K3_CORE = {0: 0, 1: 1, 2: 2}
+TIGHT_K3_EDGES = {(0, 1): (0, 1, 4), (0, 2): (0, 1, 2), (1, 2): (1, 2, 3)}
+
+
 @pytest.fixture(scope="module")
 def tight_cycle():
     return build_c_k_4(3)[0]
@@ -47,12 +52,21 @@ class TestFindWitness:
         assert sorted(w.core_map.values()) == [0, 1, 2]
 
     def test_explicit_tight_cycle_triangle_map_is_valid(self, tight_cycle):
-        # the hand-written assignment for core {0,1,2}
-        w = BergeWitness(
-            core_map={0: 0, 1: 1, 2: 2},
-            edge_map={(0, 1): (0, 1, 4), (0, 2): (0, 1, 2), (1, 2): (1, 2, 3)},
-        )
-        validate_witness(K3, tight_cycle, w)
+        validate_witness(K3, tight_cycle, BergeWitness(TIGHT_K3_CORE, TIGHT_K3_EDGES))
+
+    @pytest.mark.parametrize("core_map, edge_map, message", [
+        ({0: 0, 1: 1}, TIGHT_K3_EDGES, "core_map does not cover the pattern vertex set"),
+        ({0: 0, 1: 0, 2: 2}, TIGHT_K3_EDGES, "core_map is not injective"),
+        ({0: 0, 1: 1, 2: 5}, TIGHT_K3_EDGES, "core_map image out of range"),
+        (TIGHT_K3_CORE, {(0, 1): (0, 1, 4), (0, 2): (0, 1, 2)},
+         "edge_map keys differ from the pattern edge set"),
+        (TIGHT_K3_CORE, {**TIGHT_K3_EDGES, (0, 2): (2, 3, 4)},
+         r"pattern edge \{0,2\} not contained in \{2, 3, 4\}"),
+    ])
+    def test_tampered_witness_rejected(self, tight_cycle, core_map, edge_map, message):
+        # the hand-written witness above with one defect each
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            validate_witness(K3, tight_cycle, BergeWitness(core_map, edge_map))
 
     def test_single_edge_pattern(self):
         h = Hypergraph(5, ((1, 2, 4),))
@@ -473,6 +487,56 @@ class TestNeighbourLists:
         assert verdicts[True] > 300 and verdicts[False] > 300
 
 
+class TestPassedOverRequiredVertex:
+    """Where every later position is forced after position i, i ends just
+    after the first required vertex not yet placed, whether its node lists
+    or scans, and a search with a required edge reaches the leaf only with a
+    placed pattern edge inside that edge; neither changes a witness."""
+
+    @pytest.mark.parametrize("h, f, required, probe, witness, pushes", [
+        # 10 and 59 pushes when a scan went on after passing over a required
+        # vertex (skipped at the inside-only level, or before its window)
+        (Hypergraph(5, ((0, 2, 3), (0, 2, 4), (1, 2, 4))), K3, {0}, (1, 3, 4),
+         "core: 0->0 1->3 2->4\nedge: {0,1} -> {0,2,3}\nedge: {0,2} -> {0,2,4}\n"
+         "edge: {1,2} -> {1,3,4}\n", 5),
+        (Hypergraph(8, ((0, 1, 3), (0, 1, 4), (0, 2, 4), (0, 4, 7), (0, 5, 6), (1, 2, 4),
+                        (1, 3, 6), (1, 5, 6), (2, 4, 5), (5, 6, 7))),
+         make_cycle(4), {2, 5}, (1, 3, 7), "core: 0->1 1->2 2->5 3->7\nedge: {0,1} -> {1,2,4}\n"
+         "edge: {0,3} -> {1,3,7}\nedge: {1,2} -> {2,4,5}\nedge: {2,3} -> {5,6,7}\n", 32),
+    ], ids=["K3", "C4"])
+    def test_pinned_pushes(self, monkeypatch, h, f, required, probe, witness, pushes):
+        count = _count(monkeypatch, "push")
+        w = engine._search(engine._Index(h), engine._Pattern(f), frozenset(required), frozenset(), probe)
+        assert w.serialize() == witness
+        assert count[0] == pushes
+
+    @pytest.mark.parametrize("mode", ["all", "none"])
+    def test_required_core_and_edge_match_brute_force(self, monkeypatch, mode):
+        _listing(monkeypatch, mode)
+        rng = random.Random(5519)
+        verdicts = {True: 0, False: 0}
+        patterns = CUT_SHAPES + [make_path(4), make_star(3)]
+        for _ in range(200):
+            h = random_hypergraph(rng, max_vertices=7, max_edges=7, max_edge_size=3)
+            f = rng.choice(patterns)
+            required = frozenset(rng.sample(range(h.n), rng.randint(1, 3)))
+            if h.edges and rng.random() < 0.3:
+                t = rng.choice(h.edges)
+            else:
+                t = tuple(sorted(rng.sample(range(h.n), rng.randint(2, 3))))
+            g = h if t in h.edge_set() else add_edge(h, t)  # a virtual probe otherwise
+            w = engine._search(engine._Index(h), engine._prepared(f), required, frozenset(), t)
+            assert (w is not None) == _brute_force_contains(f, g, required, frozenset(), t), (
+                h, f.edges, required, t)
+            if w is not None:
+                validate_witness(f, g, w)
+                assert required <= set(w.core_map.values()) and t in w.edge_map.values()
+                if len(f.edges) <= 6 and len(g.edges) <= 8:
+                    assert berge_oracle(f, g)
+            verdicts[w is not None] += 1
+        assert verdicts[True] > 40 and verdicts[False] > 40
+
+
 def _automorphisms(f):
     """Every automorphism of ``f``, as a tuple of images: each vertex in
     turn takes every image that keeps adjacency and non-adjacency with the
@@ -521,6 +585,9 @@ C3_C4 = Graph(7, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)))
 FRUCHT = Graph(12, tuple({tuple(sorted((i, (i + d) % 12)))
                           for i, d in enumerate((-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2))}
                          | {(i, i + 1) for i in range(11)} | {(0, 11)}))
+# two disjoint Frucht graphs: swapping the copies is the only automorphism
+# besides the identity
+TWO_FRUCHT = Graph(24, FRUCHT.edges + tuple((u + 12, v + 12) for u, v in FRUCHT.edges))
 SYMMETRIC_SHAPES = [
     make_cycle(4), make_cycle(5), make_cycle(6), K23, K33, make_path(5), k4_minus_edge(),
     make_star(4), Graph(4, ((0, 1), (2, 3))), Graph(3), ASYMMETRIC, C3_C4,
@@ -610,6 +677,64 @@ class TestLexLeaderBounds:
                             h, f.edges, r, fb, edge)
                         verdicts[wa is not None] += 1
         assert verdicts[True] > 2000 and verdicts[False] > 2000
+
+    def test_automorphism_search_gives_up(self, monkeypatch):
+        # on two Frucht graphs the search for the swap spends the budget: one
+        # call finds it spent, and seven try every vertex of a cell in vain
+        exits = {"budget": 0, "no candidate": 0}
+        calls = [0]
+        real = engine._automorphism
+
+        def traced(f, adj, left, right, y, budget):
+            exits["budget"] += budget[0] <= 0
+            calls[0] += 1
+            mark = calls[0]
+            g = real(f, adj, left, right, y, budget)
+            # None after recursing, with budget left: no candidate mapped
+            exits["no candidate"] += g is None and calls[0] > mark and budget[0] >= 0
+            return g
+
+        monkeypatch.setattr(engine, "_automorphism", traced)
+        assert engine._Pattern(TWO_FRUCHT).less == [-1] * 24
+        assert exits == {"budget": 1, "no candidate": 7}
+
+    @pytest.mark.parametrize("f, count", [(FRUCHT, 1), (TWO_FRUCHT, 2)])
+    def test_bounds_left_by_the_budget_are_orbit_pairs(self, f, count):
+        # every listed pair is proved, but the budget leaves the swap of the
+        # two Frucht graphs, which maps position 0 onto position 12, unlisted
+        order = engine._Pattern(f).order
+        assert len(_automorphisms(f)) == count
+        listed = engine._lex_leader_bounds(f, order)
+        true = _brute_force_bounds(f, order)
+        assert all(set(a) <= set(b) for a, b in zip(listed, true))
+        assert listed == [[]] * f.n
+        assert true == [[0] if f is TWO_FRUCHT and i == 12 else [] for i in range(f.n)]
+
+    def test_search_with_the_bounds_the_budget_missed_gives_identical_witnesses(self):
+        # two Frucht graphs as prepared (no bounds) and with position 12
+        # bounded by position 0, as complete orbits give, on 2-uniform hosts
+        # holding a relabelled copy and some further pairs
+        bare = engine._Pattern(TWO_FRUCHT)
+        bounded = engine._Pattern(TWO_FRUCHT)
+        bounded.less = [max(b, default=-1) for b in _brute_force_bounds(TWO_FRUCHT, bounded.order)]
+        bounded.above = [1] + [0] * 23
+        rng = random.Random(5)
+        verdicts = {True: 0, False: 0}
+        for extra in (0, 2, 4, 8, 12):
+            img = rng.sample(range(26), 24)
+            edges = {tuple(sorted((img[u], img[v]))) for u, v in TWO_FRUCHT.edges}
+            while len(edges) < 36 + extra:
+                edges.add(tuple(sorted(rng.sample(range(26), 2))))
+            h = Hypergraph(26, tuple(sorted(edges)))
+            index = engine._Index(h)
+            absent = next(e for e in itertools.combinations(range(26), 2) if e not in edges)
+            for req, edge in ((frozenset(), None), (frozenset((img[0], img[12])), None),
+                              (frozenset(), rng.choice(h.edges)), (frozenset((img[3],)), absent)):
+                wa = engine._search(index, bounded, req, frozenset(), edge)
+                wb = engine._search(index, bare, req, frozenset(), edge)
+                assert (wa and wa.serialize()) == (wb and wb.serialize()), (h, req, edge)
+                verdicts[wa is not None] += 1
+        assert verdicts[True] > 10 and verdicts[False] > 2
 
     @pytest.mark.parametrize("f", [make_path(400), Graph(400)])
     def test_large_pattern_prepares_in_bounded_time(self, f):
