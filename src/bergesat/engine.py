@@ -414,7 +414,7 @@ def _lex_leader_bounds(f: Graph, order: list[int]) -> list[list[int]]:
     pos = {x: i for i, x in enumerate(order)}
     less: list[list[int]] = [[] for _ in range(nf)]
     partition = (list(range(nf)), [0] * nf, [nf] * nf)
-    _refine(adj, *partition, [0])
+    _refine(adj, *partition, [0] if nf else [])
     budget = [_AUTOMORPHISM_BUDGET]
     for j, x in enumerate(order):
         part, cell, end = partition
@@ -546,7 +546,8 @@ def _search(
         rset = frozenset(required_edge)
         if req_eid == vid:
             vset = rset
-    if len(pattern.edges) > vid + (req_eid == vid):
+    # a pattern without edges has none to put on a required edge
+    if len(pattern.edges) > vid + (req_eid == vid) or required_edge and not pattern.edges:
         return None
 
     # host candidates, best degree (counting the virtual edge) first; a

@@ -4,18 +4,20 @@
 the non-isolated pattern vertices and, per injection, every assignment of
 distinct hyperedges to pattern edges -- no matching machinery, so it is an
 independent ground truth for the fast engine.  It cuts only what cannot
-hold a copy: a host with fewer edges than the pattern, and every injection
-prefix that maps a pattern edge onto a pair no host edge covers.
+hold a copy: a host short of edges or of vertices of some degree, and every
+injection prefix that maps a vertex onto one of lower degree or an edge onto
+a pair no host edge covers.
 ``saturation_violations`` probes every missing k-set on its own, the
 reference for the verifier's pair memo; ``orbit_representatives`` lists the k-sets orbit mode reports.
 ``min_saturation_search`` enumerates all edge subsets of bounded size and
 is the ground truth for saturation numbers on tiny instances; it runs the
-oracle's search on edge tuples, and builds a ``Hypergraph`` only for the
-witness it returns.
+oracle's search on edge tuples, after the degree test of every one-edge
+extension, and builds a ``Hypergraph`` only for the witness it returns.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import comb
@@ -33,12 +35,12 @@ MAX_SEARCH_EDGES = 6
 def berge_oracle(f: Graph, h: Hypergraph) -> bool:
     """Exhaustive Berge containment test for tiny instances.
 
-    A host with fewer edges than the pattern has no copy, as a copy needs a
-    distinct host edge per pattern edge.  Otherwise the non-isolated pattern
-    vertices are placed one at a time in increasing order, each on an unused
-    host vertex that lies in some host edge, and in one with the image of
-    each placed neighbour.  An injection this cuts puts a pattern edge on a
-    pair that no host edge covers, so it has no assignment.  Each full
+    A copy needs a distinct host edge per pattern edge, so a host with fewer
+    edges than the pattern has none, nor one whose degrees fall short
+    (``_shortfalls``).  Otherwise the non-isolated pattern vertices are placed
+    one at a time in increasing order, each on an unused host vertex of at
+    least its degree that shares a host edge with the image of each placed
+    neighbour; an injection this cuts has no assignment.  Each full
     placement is tried with every assignment of distinct host edges.  The
     isolated pattern vertices are never placed: once ``f.n <= h.n`` the
     unused host vertices can take them, so the placement recurses at most
@@ -55,12 +57,40 @@ def _check_pattern(f: Graph) -> None:
         raise ValueError(f"pattern has {len(f.edges)} > {MAX_ORACLE_PATTERN_EDGES} edges")
 
 
+@functools.lru_cache(maxsize=128)
+def _placement(f: Graph):
+    """``f``'s non-isolated vertices in increasing order, each one's earlier
+    neighbours and degree, and for each degree d the count of vertices of
+    degree d or more (1 + the last index at which d sorts), once per pattern."""
+    deg = f.degrees()
+    order = [x for x in range(f.n) if deg[x]]
+    fdeg = [deg[x] for x in order]
+    return (order, [[y for y in order[:i] if (y, x) in f.edges] for i, x in enumerate(order)],
+            fdeg, {d: i + 1 for i, d in enumerate(sorted(fdeg, reverse=True))})
+
+
+def _shortfalls(f: Graph, n: int, edges) -> tuple[list[int], list[tuple[int, int]]]:
+    """The host's degrees, and each (d, s) at which it has s > 0 fewer
+    vertices of degree d or more than ``f``.  A host with a shortfall has no
+    copy, which puts a pattern vertex of degree d in d distinct host edges."""
+    deg = [0] * n
+    for e in edges:
+        for v in e:
+            deg[v] += 1
+    need = _placement(f)[3]
+    return deg, [(d, s) for d, c in need.items() if (s := c - sum(x >= d for x in deg)) > 0]
+
+
 def _berge_copy(f: Graph, n: int, edges: tuple[tuple[int, ...], ...]) -> bool:
     """``berge_oracle`` on the host with vertices [0, n) and ``edges``,
     without its caps or a validated ``Hypergraph``: the caller vouches that
     the edges are distinct sorted vertex tuples and that the sizes are tiny."""
     if f.n > n or len(f.edges) > len(edges):
         return False
+    deg, short = _shortfalls(f, n, edges)
+    if short:
+        return False
+    order, earlier, fdeg, _ = _placement(f)
     host_sets = [set(e) for e in edges]
     # the covered pairs, as the vertices sharing a host edge with each vertex
     shares: dict[int, set[int]] = {}
@@ -69,9 +99,6 @@ def _berge_copy(f: Graph, n: int, edges: tuple[tuple[int, ...], ...]) -> bool:
             shares.setdefault(v, set()).update(e)
     in_edges = set(shares)
     fedges = f.edges
-    order = sorted({v for e in fedges for v in e})
-    # the placed pattern neighbours of each position
-    earlier = [[y for y in order[:i] if (y, x) in fedges] for i, x in enumerate(order)]
 
     def assign(i: int, placed: dict[int, int], used: list[bool]) -> bool:
         if i == len(fedges):
@@ -93,7 +120,7 @@ def _berge_copy(f: Graph, n: int, edges: tuple[tuple[int, ...], ...]) -> bool:
         if i == len(order):
             return assign(0, placed, [False] * len(host_sets))
         for v in in_edges.intersection(*(shares[placed[y]] for y in earlier[i])):
-            if taken[v]:
+            if taken[v] or deg[v] < fdeg[i]:
                 continue
             placed[order[i]] = v
             taken[v] = True
@@ -185,13 +212,15 @@ def _is_saturated_by_oracle(f: Graph, n: int, universe: list[tuple[int, ...]],
     (all k-sets), is Berge-F-saturated, decided by ``_berge_copy``.  A host
     with a missing k-set and at most |E(F)| - 2 edges is free and stays free
     with any one more edge, so it is answered without a search."""
-    if len(edges) + 1 < len(f.edges) and len(edges) < len(universe):
+    if len(edges) + 1 < len(f.edges) and len(edges) < len(universe) or _berge_copy(f, n, edges):
         return False
-    if _berge_copy(f, n, edges):
+    # free, so a copy in h + e uses e, which adds one to its vertices' degrees:
+    # h + e keeps h's shortfall s at d if fewer than s of them have degree d - 1
+    deg, short = _shortfalls(f, n, edges)
+    missing = [e for e in universe if e not in edges]
+    if any(sum(deg[v] == d - 1 for v in e) < s for d, s in short for e in missing):
         return False
-    # free, so any Berge copy in h + e necessarily uses e
-    present = set(edges)
-    return all(_berge_copy(f, n, edges + (e,)) for e in universe if e not in present)
+    return all(_berge_copy(f, n, edges + (e,)) for e in missing)
 
 
 def min_saturation_search(

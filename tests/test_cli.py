@@ -162,6 +162,23 @@ class TestCheck:
         )
         assert code == 1 and payload == {"contains": False, "witness": None}
 
+    def test_empty_pattern(self, capsys, tmp_path):
+        # an edgeless pattern file parses to the pattern with no vertices,
+        # which every host holds and no missing set adds a copy of
+        g, h = tmp_path / "empty.g", tmp_path / "h.hg"
+        g.write_text("")
+        h.write_text("n 4\n0 1 2\n")
+        files = ("--graph", str(g), "--hgraph", str(h))
+        assert run_json(capsys, "check", "contains", *files)[:2] == (
+            0, {"contains": True, "witness": "core: \n"})
+        assert run_json(capsys, "check", "free", *files)[:2] == (
+            1, {"is_free": False, "witness": "core: \n"})
+        assert run_json(capsys, "check", "contains", *files, "--require-edge", "0,1,2")[:2] == (
+            1, {"contains": False, "witness": None})
+        code, payload, _ = run_json(capsys, "check", "saturated", *files, "--k", "3")
+        assert code == 1 and not payload["saturated"]
+        assert payload["violations_sat"] == [[0, 1, 3], [0, 2, 3], [1, 2, 3]]
+
     def test_free(self, capsys, tight_cycle_path, k4_path):
         code, payload, _ = run_json(
             capsys, "check", "free",

@@ -132,6 +132,28 @@ class TestContains:
         assert not contains_berge(K4, s)
 
 
+class TestEmptyPattern:
+    # the edgeless pattern on no vertices: every host holds it, with an empty
+    # core, and no missing k-set creates a new copy, as no pattern edge can use it
+    HOST = Hypergraph(4, ((0, 1, 2),))
+
+    def test_contained_with_an_empty_witness(self):
+        w = find_berge_witness(Graph(0), self.HOST)
+        assert w == BergeWitness({}, {})
+        validate_witness(Graph(0), self.HOST, w)
+        assert contains_berge(Graph(0), self.HOST) == berge_oracle(Graph(0), self.HOST) is True
+
+    def test_no_witness_uses_a_required_edge(self):
+        required = SearchConstraints(required_edge=(0, 1, 2))
+        assert find_berge_witness(Graph(0), self.HOST, required) is None
+        assert not creates_new_berge(self.HOST, (0, 1, 3), Graph(0))
+
+    def test_saturation_lists_every_missing_set(self):
+        report = saturation.is_saturated(self.HOST, Graph(0), 3)
+        assert not report.is_free and not report.saturated
+        assert report.violations_sat == [(0, 1, 3), (0, 2, 3), (1, 2, 3)]
+
+
 class TestCreatesNew:
     def test_tight_cycle_pair_probe(self, tight_cycle):
         assert creates_new_berge(tight_cycle, (0, 1), K4)

@@ -54,15 +54,29 @@ class TestBergeOracle:
         padded = [Graph(f.n + extra, f.edges) for f in small_patterns() for extra in (1, 3)]
         edgeless = [Graph(0, ()), Graph(1, ()), Graph(4, ())]
         scattered = [Graph(6, ((1, 4), (4, 5))), Graph(7, ((0, 6), (2, 3), (3, 6)))]
-        patterns = small_patterns() + padded + edgeless + scattered
-        kinds = {"more vertices": 0, "more edges": 0, "isolated vertices": 0, "found": 0}
-        for _ in range(400):
-            h = random_hypergraph(rng, max_vertices=7, max_edges=rng.choice((2, 7)))
+        # a star and K4, with a vertex of degree 3, which few hosts have
+        patterns = small_patterns() + padded + edgeless + scattered + [make_star(3), K4]
+        kinds = {"more vertices": 0, "more edges": 0, "degrees": 0, "isolated vertices": 0,
+                 "found": 0}
+        for i in range(600):
             f = rng.choice(patterns)
+            if i % 2:
+                h = random_hypergraph(rng, max_vertices=7, max_edges=rng.choice((2, 7)))
+            else:
+                # a few k-sets, as min_saturation_search decides: about as
+                # many edges as f, so their degrees often fall short of f's
+                n = rng.randint(4, 7)
+                ksets = list(itertools.combinations(range(n), rng.choice((2, 3))))
+                m = min(len(ksets), len(f.edges) + rng.randint(0, 2), 8)
+                h = Hypergraph(n, tuple(sorted(rng.sample(ksets, m))))
             expected = brute_berge(f, h)
             assert berge_oracle(f, h) == expected, (f, h)
             kinds["more vertices"] += f.n > h.n
             kinds["more edges"] += f.n <= h.n and len(f.edges) > len(h.edges)
+            # enough vertices and edges, but too few host vertices of some degree
+            short = f.n <= h.n and len(f.edges) <= len(h.edges) and not degrees_dominate(f, h)
+            assert not (short and expected), (f, h)
+            kinds["degrees"] += short
             kinds["isolated vertices"] += f.n > len({v for e in f.edges for v in e})
             kinds["found"] += expected
         assert min(kinds.values()) >= 20, kinds
@@ -71,6 +85,13 @@ class TestBergeOracle:
         # one recursion level per pattern vertex would overflow the stack
         assert berge_oracle(Graph(2000, ()), Hypergraph(2000, ())) is True
         assert berge_oracle(Graph(2000, ((1998, 1999),)), Hypergraph(2000, ((0, 1),))) is True
+
+
+def degrees_dominate(f, h):
+    """Whether the host's degrees, sorted, dominate the pattern's, sorted:
+    the Berge degree condition, restated independently of the oracle."""
+    hdeg = sorted((sum(v in e for e in h.edges) for v in range(h.n)), reverse=True)
+    return all(a >= b for a, b in zip(hdeg, sorted(f.degrees(), reverse=True)))
 
 
 def brute_berge(f, h):
@@ -554,6 +575,20 @@ class TestMinSaturationSearch:
         )
         assert is_saturated(plain.witness_h, K4, 3).saturated
 
+    @pytest.mark.parametrize("f, m_star, examined, witness", [
+        (make_cycle(4), 4, 1352, ((0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5))),
+        (make_star(3), 3, 226, ((0, 1, 2), (0, 1, 3), (2, 3, 4))),
+    ], ids=["C4", "K13"])
+    def test_values_at_six_vertices(self, f, m_star, examined, witness):
+        result = min_saturation_search(6, 3, f, 5)
+        assert (result.m_star, result.examined, result.witness_h) == (
+            m_star, examined, Hypergraph(6, witness))
+        assert is_saturated(result.witness_h, f, 3).saturated
+
+    def test_no_k4_saturated_graph_on_six_vertices_within_six_edges(self):
+        # sat_2(6, K4) = 9 > 6: every subset up to 6 edges is decided
+        assert min_saturation_search(6, 2, K4, 6) is None
+
     def test_unreachable_budget_returns_none(self):
         assert min_saturation_search(6, 3, K3, 2) is None
 
@@ -591,6 +626,20 @@ class TestMinSaturationSearch:
         assert not calls
         assert min_saturation_search(6, 3, K4, 5).m_star == 5
         assert calls
+
+    @pytest.mark.parametrize("f", [K3, make_cycle(4), make_path(3), make_star(3)],
+                             ids=["K3", "C4", "P3", "K13"])
+    def test_oracle_decision_matches_the_verifier(self, f):
+        # every host of at most 4 of the 3-sets of 5 vertices, decided by
+        # the oracle (degree cut included) and by the engine's verifier
+        universe = list(itertools.combinations(range(5), 3))
+        saturated = 0
+        for m in range(5):
+            for edges in itertools.combinations(universe, m):
+                expected = is_saturated(Hypergraph(5, edges), f, 3).saturated
+                assert oracle._is_saturated_by_oracle(f, 5, universe, edges) == expected, edges
+                saturated += expected
+        assert saturated
 
     def test_pattern_cap_still_enforced(self):
         with pytest.raises(ValueError, match="pattern has 10 > 6 edges"):
