@@ -3,7 +3,8 @@
 One JSON object per invocation goes to stdout (stable keys, sorted, no
 timing), human-readable notes go to stderr.  Exit codes: 0 when the checked
 property holds or generation succeeded, 1 when the property fails, 2 on
-usage or input errors, on an internal failure and on Ctrl-C.
+usage or input errors, on an internal failure, when memory runs out and on
+Ctrl-C.
 """
 
 from __future__ import annotations
@@ -295,6 +296,9 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     except KeyboardInterrupt:
         _note("error: interrupted")
+        return EXIT_ERROR
+    except MemoryError:
+        _note("error: out of memory")
         return EXIT_ERROR
 
 

@@ -508,6 +508,11 @@ def _prepared(f: Graph) -> _Pattern:
     return _Pattern(f)
 
 
+def _prepared_for(f: Graph, h: Hypergraph) -> _Pattern | None:
+    """``_prepared(f)``, or None if ``f`` has more vertices than ``h``: no copy fits."""
+    return _prepared(f) if f.n <= h.n else None
+
+
 # ---------------------------------------------------------------------------
 # the search
 
@@ -532,7 +537,7 @@ def _search(
     an extra hyperedge with id ``len(index.edges)``, appended without
     rebuilding the index, which is how probes over thousands of candidate
     edge additions stay cheap.  A pattern with more vertices than the host
-    has no witness; callers pass None for it rather than prepare it.
+    has no witness; ``_prepared_for`` gives None for it.
     """
     if pattern is None:
         return None
@@ -778,7 +783,7 @@ def find_berge_witness(
         return None
     return _search(
         index,
-        _prepared(f) if f.n <= h.n else None,
+        _prepared_for(f, h),
         required_core=c.required_core,
         forbidden_core=c.forbidden_core,
         required_edge=required_edge,
@@ -796,7 +801,7 @@ def creates_new_berge(h: Hypergraph, e, f: Graph) -> bool:
     index = _Index(h)
     if t in index.id_of:
         raise ValueError(f"edge {set(t)} already present")
-    return _search(index, _prepared(f) if f.n <= h.n else None, required_edge=t) is not None
+    return _search(index, _prepared_for(f, h), required_edge=t) is not None
 
 
 def is_ell_good(h: Hypergraph, u: int, v: int, ell: int) -> bool:

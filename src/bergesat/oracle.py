@@ -138,7 +138,7 @@ def saturation_violations(h: Hypergraph, f: Graph, k: int) -> list[tuple[int, ..
     ``h`` (a probe adds its set as a virtual edge and leaves the index as it
     was)."""
     index = engine._Index(h)
-    pattern = engine._prepared(f) if f.n <= h.n else None
+    pattern = engine._prepared_for(f, h)
     return [t for t in missing_edges(h, k)
             if engine._search(index, pattern, required_edge=t) is None]
 
@@ -247,6 +247,9 @@ def min_saturation_search(
         raise ValueError(f"m_max={m_max} exceeds the cap of {MAX_SEARCH_EDGES}")
     _check_pattern(f)
     universe = list(itertools.combinations(range(n), k))
+    if f.n > n:  # no copy fits: only the complete k-graph, the last subset, is saturated
+        top = len(universe)
+        return SearchResult(top, Hypergraph(n, tuple(universe)), 2**top) if m_max >= top else None
     examined = 0
     for m in range(m_max + 1):
         for subset in itertools.combinations(universe, m):

@@ -21,14 +21,16 @@ Berge copy of h + {a, b} to one of h + {a', b'}, so pairs in one orbit are
 good or bad together.  Two vertices are twins when they lie in exactly the
 same edges; swapping them is an automorphism.  Two twin classes C and D of
 one size swap when mapping C's members onto D's in increasing order, and
-back, maps every edge to an edge; this is checked on the edge set, never
-assumed.  Swapping is an equivalence: if C and D each swap with F, then
-(C, D) = (D, F)(C, F)(D, F) is a composition of automorphisms.  So the
-classes fall into swap groups, and any permutation of the classes of a
-group, with twins permuted freely inside each class, is an automorphism.
+back, maps every edge to an edge; this is checked on the edges through C
+and D, never assumed.  Swapping is an equivalence: if C and D each swap
+with F, then (C, D) = (D, F)(C, F)(D, F) is a composition of automorphisms.
+So the classes fall into swap groups, and any permutation of the classes of
+a group, with twins permuted freely inside each class, is an automorphism.
 Two pairs whose ends lie in the same two groups, both in one class or both
 in two classes, are thus in one orbit: one memo entry per key decides all
-of its pairs.
+of its pairs.  ``_join`` places each class, and each part ``accept``
+splits off: tested in group order against one class of each group of its
+size and degree, it joins the first it swaps with, or starts a group.
 
 Sets are decided by orbit too: two sets with the same counts on the classes
 of each group lie in one orbit of these permutations, and are decided
@@ -48,8 +50,8 @@ listing it and refuses with ``ValueError`` past ``MAX_VIOLATIONS`` sets.
 Greedy completion re-keys after each edge t it adds (``_Scan.accept``).  A
 class that t meets splits into its members inside and outside t, which
 leave its group.  Other classes keep their keys: a swap of two classes that
-miss t fixes t.  A part joins the group of a class it swaps with, or starts
-one, so the groups are those of ``_swap_groups`` on the new host.  A good
+miss t fixes t.  ``_join`` places each part among the groups of the
+others, so the groups are those of ``_swap_groups`` on the new host.  A good
 pair stays good, so a part's pairs inherit the good marks of its class's
 pairs; bad marks are dropped.  A group left with one class of its own that
 a part joins drops its mark across classes, proved on a class that left.
@@ -158,12 +160,10 @@ def all_subsets_are_cores(h: Hypergraph, m: int) -> CoreCoverageReport:
     Berge clique on m vertices; ``ValueError`` past ``MAX_VIOLATIONS`` failures."""
     if m > h.n:
         raise ValueError(f"subset size {m} exceeds vertex count {h.n}")
-    index = engine._Index(h)
-    pattern = engine._prepared(make_clique(m))
-    groups = _swap_groups(h)
-    failing = (t for t in _representatives(groups, m)
-               if engine._search(index, pattern, required_core=frozenset(t)) is None)
-    return CoreCoverageReport(m, comb(h.n, m), _expand(failing, groups))
+    scan = _Scan(h, make_clique(m), m)
+    failing = (t for t in _representatives(scan.groups, m)
+               if engine._search(scan.index, scan.pattern, required_core=frozenset(t)) is None)
+    return CoreCoverageReport(m, comb(h.n, m), _expand(failing, scan.groups))
 
 
 def all_cores_present(h: Hypergraph, ell: int) -> CoreCoverageReport:
@@ -197,14 +197,14 @@ def _pair_key(ka: tuple[int, int], kb: tuple[int, int]) -> tuple[int, int, bool]
 class _Scan:
     """One scan's state: the indexed host, the prepared pattern, the vertex
     keys, the twin class members and the pair memo.  ``groups`` is
-    ``_swap_groups(h)``, which ``first`` walks on the host as given and
-    whose members list ``accept`` extends."""
+    ``_swap_groups`` of the index, which ``first`` walks on the host as given
+    and whose members list ``accept`` extends."""
 
     def __init__(self, h: Hypergraph, f: Graph, k: int) -> None:
         self.index = engine._Index(h)
-        self.pattern = engine._prepared(f) if f.n <= h.n else None  # None: no copy fits
+        self.pattern = engine._prepared_for(f, h)
         self.k = k
-        self.groups = _swap_groups(h)
+        self.groups = _swap_groups(self.index)
         cls, self.members, group = self.groups
         self.key = [(group[c], c) for c in cls]
         self.fresh = itertools.count(len(group))  # group numbers not yet used
@@ -277,23 +277,20 @@ class _Scan:
         classes = [key[m[0]] for m in members if m]
         carried = [(c, kd[1]) for c, kc in touched.items() for kd in classes
                    if _pair_key(kc, kd) in good]
-        rep = {g: d for g, d in classes if d not in touched}  # a class that stays in each group
+        kept = {g: d for g, d in classes if d not in touched}  # a class that stays in each group
+        firsts: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for g, d in kept.items():
+            firsts.setdefault((len(members[d]), index.deg[members[d][0]]), []).append((g, d))
         parts: dict[int, list[int]] = {}
         for c in touched:
             members.append([v for v in members[c] if v in t])
             members[c] = [v for v in members[c] if v not in t]
             parts[c] = [len(members) - 1] + ([c] if members[c] else [])
-        deg = index.deg
         for p in itertools.chain(*parts.values()):
-            m = members[p]
-            g = next((g for g, d in rep.items() if deg[members[d][0]] == deg[m[0]]
-                      and _swaps(m, members[d], index.edges, index.id_of)), None)
-            if g is None:
-                g = next(self.fresh)
-                rep[g] = p
-            elif sum(gd == g and d not in touched for gd, d in classes) == 1:
+            g = _join(p, members, firsts, index, self.fresh)
+            if g in kept and sum(gd == g and d not in touched for gd, d in classes) == 1:
                 good.discard((g, g, False))
-            for v in m:
+            for v in members[p]:
                 key[v] = (g, p)
         for c, d in carried:
             for a, b in itertools.product(parts[c], parts.get(d, (d,))):
@@ -410,17 +407,17 @@ def _certifies(h: Hypergraph, f: Graph, k: int,
 # twin classes
 
 
-def _twin_classes(h: Hypergraph) -> list[int]:
-    """The twin class of each vertex, numbered in order of least vertex.
+def _twin_classes(index: engine._Index) -> list[int]:
+    """The twin class of each indexed vertex, numbered in order of least vertex.
 
     Twins lie in exactly the same edges (each dominates the other), so
-    swapping two of them maps every edge to itself: an automorphism of h.
+    swapping two of them maps every edge to itself: an automorphism.
     """
     incident: dict[int, list[int]] = {}
-    for eid, e in enumerate(h.edges):
+    for eid, e in enumerate(index.edges):
         for v in e:
             incident.setdefault(v, []).append(eid)
-    keys = [tuple(incident.get(v, ())) for v in range(h.n)]
+    keys = [tuple(incident.get(v, ())) for v in range(index.n)]
     ids = {inc: c for c, inc in enumerate(dict.fromkeys(keys))}
     return [ids[inc] for inc in keys]
 
@@ -433,50 +430,40 @@ def _class_members(cls: list[int]) -> list[list[int]]:
     return members
 
 
-def _swap_groups(h: Hypergraph) -> tuple[list[int], list[list[int]], list[int]]:
-    """The twin class of each vertex, the members of each class, and the
-    swap group of each class, groups numbered in order of least vertex.
-
-    A class joins the first group whose first class it swaps with, or starts
-    a new one (see the module docstring).  A swap keeps every degree, so
-    only classes of one size, degree and multiset of degrees met in their
-    edges are tested.  A swap is checked on the edges that meet its two
-    classes only, as it fixes every other edge; an edge that meets a class
-    holds all of it.
-    """
-    cls = _twin_classes(h)
+def _swap_groups(index: engine._Index) -> tuple[list[int], list[list[int]], list[int]]:
+    """The twin class of each vertex of the indexed host, the members of
+    each class, and the swap group of each class, groups numbered in order
+    of least vertex: each class in turn is placed by ``_join``."""
+    cls = _twin_classes(index)
     members = _class_members(cls)
-    meets: list[list[Edge]] = [[] for _ in members]  # the edges through each class
-    for e in h.edges:
-        for v in e:
-            if members[cls[v]][0] == v:
-                meets[cls[v]].append(e)
-    edges = h.edge_set()
-    deg = h.degrees()
-    group: list[int] = []
-    firsts: dict[tuple, list[int]] = {}  # signature -> first class of each group
-    count = 0
-    for c in range(len(members)):
-        mates = sorted(deg[v] for e in meets[c] for v in e)
-        same = firsts.setdefault((len(members[c]), len(meets[c]), *mates), [])
-        first = next((f for f in same if _swaps(members[f], members[c],
-                                                  meets[f] + meets[c], edges)), None)
-        if first is None:
-            same.append(c)
-            group.append(count)
-            count += 1
-        else:
-            group.append(group[first])
-    return cls, members, group
+    firsts: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    fresh = itertools.count()
+    return cls, members, [_join(c, members, firsts, index, fresh) for c in range(len(members))]
 
 
-def _swaps(cm: list[int], dm: list[int], edges: Iterable[Edge], present) -> bool:
-    """Whether swapping the twin classes ``cm`` and ``dm`` in increasing order
-    maps each of ``edges`` that meets them into ``present``."""
+def _join(c: int, members: list[list[int]], firsts: dict[tuple[int, int], list[tuple[int, int]]],
+          index: engine._Index, fresh: Iterator[int]) -> int:
+    """The swap group of class ``c``: the first group listed in ``firsts``
+    (one (group, class) per group, by size and degree) that it swaps with,
+    or else a new one from ``fresh``, which ``c`` then stands for."""
+    m = members[c]
+    same = firsts.setdefault((len(m), index.deg[m[0]]), [])
+    g = next((g for g, d in same if _swaps(members[d], m, index)), None)
+    if g is None:
+        g = next(fresh)
+        same.append((g, c))
+    return g
+
+
+def _swaps(cm: list[int], dm: list[int], index: engine._Index) -> bool:
+    """Whether swapping the twin classes ``cm`` and ``dm``, of one size, in
+    increasing order maps each indexed edge to one, read only on the edges
+    through them: it fixes every other edge."""
     image = dict(zip(cm, dm))
     image.update(zip(dm, cm))
-    return len(cm) == len(dm) and all(tuple(sorted(image.get(v, v) for v in e)) in present
-                                      for e in edges if cm[0] in e or dm[0] in e)
+    edges, id_of = index.edges, index.id_of
+    through = set(itertools.chain(*index.adj[cm[0]].values(), *index.adj[dm[0]].values()))
+    return all(tuple(sorted(image.get(v, v) for v in edges[i])) in id_of for i in through)
 
 
 def _count_class_multisets(cls: list[int], k: int) -> int:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from bergesat import cli, saturation
+from bergesat import cli, engine, saturation
 from bergesat.cli import main
 from bergesat.core import missing_edges, parse_hypergraph
 
@@ -447,6 +447,18 @@ class TestContract:
         monkeypatch.setattr(cli, "_read_graph", interrupted)
         code, out, err = run(capsys, "invariants", "--graph", "unread.g")
         assert code == 2 and out == "" and err == "error: interrupted\n"
+
+    def test_out_of_memory_exit_two(self, capsys, monkeypatch, k4_path, tight_cycle_path):
+        # a host on 10^10 vertices fails to get its index under a memory
+        # limit; that is an error (2), not a property that fails (1)
+        def exhausted(index, h):
+            raise MemoryError
+
+        monkeypatch.setattr(engine._Index, "__init__", exhausted)
+        for args in (("saturated", "--clique", "4", "--k", "3", "--orbits"),
+                     ("contains", "--graph", str(k4_path))):
+            code, out, err = run(capsys, "check", *args, "--hgraph", str(tight_cycle_path))
+            assert code == 2 and out == "" and err == "error: out of memory\n"
 
 
 def _command_paths(parser, prefix=()):

@@ -505,7 +505,7 @@ class TestGreedyByOrbits:
             accepted[0] += 1
             n = len(scan.key)
             h = Hypergraph(n, tuple(sorted(scan.index.edges)))
-            cls, _, group = saturation._swap_groups(h)
+            cls, _, group = saturation._swap_groups(engine._Index(h))
             assert _same_blocks([scan.key[v][1] for v in range(n)], cls)
             assert _same_blocks([scan.key[v][0] for v in range(n)], [group[c] for c in cls])
             after = _pair_keys(scan)
@@ -588,6 +588,47 @@ class TestMinSaturationSearch:
     def test_no_k4_saturated_graph_on_six_vertices_within_six_edges(self):
         # sat_2(6, K4) = 9 > 6: every subset up to 6 edges is decided
         assert min_saturation_search(6, 2, K4, 6) is None
+
+    @pytest.mark.parametrize("n, k, f, m_max, expected", [
+        (3, 2, K4, 3, (3, 8)),
+        (4, 2, Graph(5, K3.edges), 6, (6, 64)),
+        (5, 2, Graph(7, K3.edges), 6, None),
+    ], ids=["K4-n3", "K3+2-n4", "K3+4-n5"])
+    def test_pattern_larger_than_the_host_is_answered_unenumerated(self, monkeypatch, n, k,
+                                                                   f, m_max, expected):
+        def decide(*args):
+            raise AssertionError("a subset was decided")
+
+        monkeypatch.setattr(oracle, "_is_saturated_by_oracle", decide)
+        result = min_saturation_search(n, k, f, m_max)
+        assert expected == (None if result is None else (result.m_star, result.examined))
+
+    def test_pattern_larger_than_the_host_matches_plain_enumeration(self):
+        # each subset in order, decided by berge_oracle: free, and a copy
+        # with each missing set added
+        def plain(n, k, f, m_max):
+            universe = list(itertools.combinations(range(n), k))
+            examined = 0
+            for m in range(m_max + 1):
+                for edges in itertools.combinations(universe, m):
+                    examined += 1
+                    if not berge_oracle(f, Hypergraph(n, edges)) and all(
+                            berge_oracle(f, Hypergraph(n, edges + (e,)))
+                            for e in universe if e not in edges):
+                        return m, Hypergraph(n, edges), examined
+            return None
+
+        found = 0
+        for n in range(2, 6):
+            patterns = [Graph(n + extra, K3.edges) for extra in (1, 2) if n + extra >= 3]
+            patterns += [make_path(n + 1), K4] if n < 4 else [make_path(n + 1)]
+            for k, f, m_max in itertools.product(range(2, n + 1), patterns, range(7)):
+                result = min_saturation_search(n, k, f, m_max)
+                got = None if result is None else (result.m_star, result.witness_h,
+                                                   result.examined)
+                assert got == plain(n, k, f, m_max), (n, k, f, m_max)
+                found += result is not None
+        assert found > 50
 
     def test_unreachable_budget_returns_none(self):
         assert min_saturation_search(6, 3, K3, 2) is None

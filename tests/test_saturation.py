@@ -408,7 +408,7 @@ class TestAgainstReference:
             once = set(probed)
             assert len(once) == len(probed)
             assert once <= set(orbit_representatives(h, k))  # least members of class multisets
-            groups = saturation._swap_groups(h)
+            groups = saturation._swap_groups(engine._Index(h))
             walk = [tuple(sorted(t)) for t in saturation._representatives(groups, k)]
             assert probed == [t for t in walk if t in once]  # in the orbit walk's order
             assert report.checked_missing == comb(h.n, k) - len(h.edges)
@@ -467,7 +467,7 @@ class TestTwinClasses:
     def test_every_mode_and_worker_count_matches_the_reference(self):
         twins = 0
         for seed, (h, f, k) in enumerate(twin_corpus()):
-            cls = saturation._twin_classes(h)
+            cls = saturation._twin_classes(engine._Index(h))
             twins += h.n - len(set(cls))
             expected = saturation_violations(h, f, k)
             bad = set(expected)
@@ -520,7 +520,7 @@ class TestTwinClasses:
 
     def test_probes_bounded_by_twin_class_pairs(self, probes):
         h = build_s(100, 4, 5)[0]
-        cls = saturation._twin_classes(h)
+        cls = saturation._twin_classes(engine._Index(h))
         keys = {tuple(sorted((cls[a], cls[b]))) for a, b in itertools.combinations(range(h.n), 2)}
         assert len(keys) == 773
         assert is_saturated(h, make_clique(5), 4).saturated
@@ -531,7 +531,7 @@ class TestTwinClasses:
 
     def test_twins_share_their_edges(self):
         for h, _, _ in twin_corpus():
-            cls = saturation._twin_classes(h)
+            cls = saturation._twin_classes(engine._Index(h))
             incident = [{i for i, e in enumerate(h.edges) if v in e} for v in range(h.n)]
             for a, b in itertools.combinations(range(h.n), 2):
                 assert (cls[a] == cls[b]) == (incident[a] == incident[b])
@@ -576,8 +576,8 @@ class TestSwapGroups:
         hosts += [block_host(rng, k) for k in (2, 3, 4) for _ in range(40)]
         merged = refused = 0
         for h in hosts:
-            cls, members, group = saturation._swap_groups(h)
-            assert cls == saturation._twin_classes(h)
+            cls, members, group = saturation._swap_groups(engine._Index(h))
+            assert cls == saturation._twin_classes(engine._Index(h))
             assert members == [[v for v in range(h.n) if cls[v] == c] for c in range(len(members))]
             firsts = [group.index(g) for g in range(len(set(group)))]
             assert firsts == sorted(firsts)  # numbered in order of least vertex
@@ -595,12 +595,21 @@ class TestSwapGroups:
                 refused += not swaps and deg[members[c][0]] == deg[members[d][0]]
         assert merged > 500 and refused > 200
 
+    def test_a_swap_is_checked_on_the_edges_of_both_classes(self):
+        # swapping 0 and 1 maps 1's one edge to an edge, but 0's second
+        # edge (0, 4, 5) to (1, 4, 5), which is not one; the groups never
+        # ask this of classes of two degrees, but the test itself is exact
+        index = engine._Index(Hypergraph(6, ((0, 2, 3), (0, 4, 5), (1, 2, 3))))
+        assert not saturation._swaps([1], [0], index)
+        assert not saturation._swaps([0], [1], index)
+        assert saturation._swaps([2], [3], index) and saturation._swaps([4], [5], index)
+
     def test_classes_of_one_size_and_degree_that_do_not_swap(self):
         # {4, 5} and {6, 7} are twin classes of size 2 and degree 2 whose
         # edges meet hubs of degree 2 only, but swapping them fixes the hubs
         # and so maps (0, 4, 5) to (0, 6, 7), which is not an edge
         h = Hypergraph(10, ((0, 4, 5), (1, 4, 5), (2, 6, 7), (3, 6, 7), (0, 1, 8), (2, 3, 9)))
-        cls, members, group = saturation._swap_groups(h)
+        cls, members, group = saturation._swap_groups(engine._Index(h))
         a, b = cls[4], cls[6]
         assert members[a] == [4, 5] and members[b] == [6, 7]
         assert h.degrees()[4] == h.degrees()[6] == 2
@@ -777,7 +786,7 @@ class TestCoreCoverage:
     def test_one_canonical_representative_per_orbit(self, monkeypatch):
         merged = 0
         for h in swap_hosts():
-            groups = saturation._swap_groups(h)
+            groups = saturation._swap_groups(engine._Index(h))
             merged += len(groups[1]) - len(set(groups[2]))
             for m in (1, 2, 3, 4):
                 reps = [tuple(sorted(t)) for t in saturation._representatives(groups, m)]
@@ -812,7 +821,7 @@ class TestOrbitWalk:
         hosts += list(s_minus_edges())
         merged = violations = 0
         for seed, (h, k, ell) in enumerate(hosts):
-            groups = saturation._swap_groups(h)
+            groups = saturation._swap_groups(engine._Index(h))
             merged += len(groups[1]) - len(set(groups[2]))
             f = make_clique(ell)
             expected = saturation_violations(h, f, k)
@@ -850,7 +859,7 @@ class TestOrbitWalk:
         # prefixes of orbits, so its pair keys are a few hundred (230 when
         # measured), while a walk over twin-class multisets took 10,603
         h = build_s(1000, 3, 4)[0]
-        groups = saturation._swap_groups(h)
+        groups = saturation._swap_groups(engine._Index(h))
         assert (len(groups[1]), len(set(groups[2]))) == (504, 8)
         assert is_saturated(h, K4, 3).saturated
         assert 0 < pair_keys["keys"] <= 500
