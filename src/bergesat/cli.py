@@ -74,11 +74,8 @@ def _generated(args, h: Hypergraph, labels, **fields) -> int:
 
 
 def _gen_c(args) -> int:
-    if args.ell == 4:
-        h, labels = constructions.build_c_k_4(args.k)
-    else:
-        h, labels = constructions.build_c_k_ell(args.k, args.ell)
-    return _generated(args, h, labels, ell=args.ell)
+    _, build = constructions.seed_family(args.k, args.ell)
+    return _generated(args, *build(), ell=args.ell)
 
 
 def _gen_s(args) -> int:

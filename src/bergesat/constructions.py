@@ -8,6 +8,7 @@ so tests and the CLI can reconstruct the block structure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -88,11 +89,19 @@ def build_c_k_ell(k: int, ell: int) -> tuple[Hypergraph, ConstructionLabels]:
     return Hypergraph(k + ell - 3, tuple(edges)), ConstructionLabels(roles)
 
 
-def seed_vertex_count(k: int, ell: int) -> int:
-    """Vertex count of the seed family build_c_k_4 / build_c_k_ell."""
+def seed_family(k: int, ell: int) -> tuple[int, functools.partial]:
+    """The seed family for clique size ell, as its vertex count and its
+    builder: build_c_k_4 for ell = 4, build_c_k_ell for ell >= 5."""
     if ell < 4:
         raise ValueError("clique size must be at least 4")
-    return k + 2 if ell == 4 else k + ell - 3
+    if ell == 4:
+        return k + 2, functools.partial(build_c_k_4, k)
+    return k + ell - 3, functools.partial(build_c_k_ell, k, ell)
+
+
+def seed_vertex_count(k: int, ell: int) -> int:
+    """Vertex count of the seed family build_c_k_4 / build_c_k_ell."""
+    return seed_family(k, ell)[0]
 
 
 def solve_ab(n: int, k: int, ell: int) -> SParameters:
@@ -119,7 +128,7 @@ def build_s(
     size k-2 each joined to those hubs through one shared apex vertex."""
     params = solve_ab(n, k, ell)
     a, b = params.a, params.b
-    seed, seed_labels = build_c_k_4(k) if ell == 4 else build_c_k_ell(k, ell)
+    seed, seed_labels = seed_family(k, ell)[1]()
     hubs = range(ell - 2)  # the first ell-2 cycle vertices
     apex = n - 1
     roles = dict(seed_labels.role_of)

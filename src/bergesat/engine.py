@@ -471,15 +471,16 @@ class _Pattern:
         # vertices at i, j and j' share one orbit under the automorphisms
         # fixing positions 0..j-1, so j bounds j'.  Where the budget left
         # that unproved, the others are dropped, which only weakens the
-        # pruning.  above[i] counts the later positions forced after i
-        # through chains of less.  A complete pattern needs no search for them.
+        # pruning.  A complete pattern needs no search for them.  As less[i]
+        # < i, less is a forest on the positions, with parent less[i] of i.
+        # above[i] counts the later positions forced after i through chains
+        # of less: the descendants of i, summed from the last position back.
         self.less = (list(range(-1, f.n - 1)) if self.unordered else
                      [max(bound, default=-1) for bound in _lex_leader_bounds(f, self.order)])
-        below = [0] * f.n  # bit j set: position j is forced before position i
-        for i, j in enumerate(self.less):
-            if j >= 0:
-                below[i] = below[j] | 1 << j
-        self.above = [sum(below[k] >> i & 1 for k in range(i + 1, f.n)) for i in range(f.n)]
+        self.above = [0] * f.n
+        for i in range(f.n - 1, -1, -1):
+            if self.less[i] >= 0:
+                self.above[self.less[i]] += self.above[i] + 1
         pos = {x: i for i, x in enumerate(self.order)}
         # each pattern edge is a demand of its later-placed endpoint: position
         # i is joined to the earlier positions back_edges[i], ascending as

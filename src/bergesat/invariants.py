@@ -2,7 +2,8 @@
 
 All solvers are exhaustive (branch-and-bound or increasing-size subset
 search) with hard size caps; the pattern graphs these feed are tiny and the
-values gate construction hypotheses, so correctness beats speed.
+values gate construction hypotheses, so correctness beats speed.  The caps
+are checked before any search, in ``compute_invariants`` the tightest first.
 """
 
 from __future__ import annotations
@@ -69,31 +70,19 @@ def independence_number(g: Graph) -> int:
 
 def vertex_cover_number(g: Graph) -> int:
     """Smallest vertex set meeting every edge, by branching on an uncovered
-    edge (independent of the independence-number code path)."""
+    edge (independent of the independence-number code path); the first
+    budget, in increasing order, that admits a cover is the minimum."""
     if g.n > MAX_VERTICES_SUBSET:
         raise ValueError(f"graph too large for exhaustive search (n={g.n})")
 
-    def cover(edges: list[tuple[int, int]], budget: int) -> int | None:
+    def covers(edges: list[tuple[int, int]], budget: int) -> bool:
         if not edges:
-            return 0
+            return True
         if budget == 0:
-            return None
-        u, v = edges[0]
-        best = None
-        for pick in (u, v):
-            rest = [e for e in edges if pick not in e]
-            sub = cover(rest, budget - 1)
-            if sub is not None and (best is None or sub + 1 < best):
-                best = sub + 1
-                budget = best - 1  # tighten for the second branch
-        return best
+            return False
+        return any(covers([e for e in edges if pick not in e], budget - 1) for pick in edges[0])
 
-    edges = list(g.edges)
-    for b in range(g.n + 1):
-        r = cover(edges, b)
-        if r is not None:
-            return r
-    return g.n
+    return next(b for b in range(g.n + 1) if covers(list(g.edges), b))
 
 
 def min_degree(g: Graph) -> int:
@@ -166,12 +155,13 @@ def feedback_number(g: Graph) -> tuple[int, tuple[int, ...]]:
 
 
 def compute_invariants(g: Graph) -> InvariantReport:
-    alpha = independence_number(g)
-    beta = vertex_cover_number(g)
+    """Every invariant of ``g``.  The feedback search runs first, as its cap
+    is the tightest; β is n - α by Gallai's identity."""
     f, fset = feedback_number(g)
+    alpha = independence_number(g)
     return InvariantReport(
         alpha=alpha,
-        beta=beta,
+        beta=g.n - alpha,
         delta=min_degree(g),
         girth=girth(g),
         feedback=f,

@@ -173,16 +173,6 @@ def all_cores_present(h: Hypergraph, ell: int) -> CoreCoverageReport:
 
 
 # ---------------------------------------------------------------------------
-# lexicographic rank arithmetic for k-subsets of [0, n)
-
-
-def _rank_kset(t: Edge, n: int) -> int:
-    # the k-sets after t: C(n - 1 - v, k - i) agree with t before position i, exceed v there
-    k = len(t)
-    return comb(n, k) - 1 - sum(comb(n - 1 - v, k - i) for i, v in enumerate(t))
-
-
-# ---------------------------------------------------------------------------
 # the scan
 
 
@@ -482,6 +472,14 @@ def _count_class_multisets(cls: list[int], k: int) -> int:
 def _sample_missing(h: Hypergraph, k: int, count: int, seed: int) -> list[Edge]:
     """A seeded uniform sample of missing k-sets, in lexicographic order.
 
+    Ranks are lexicographic, read from one table: ``below[d][u]`` =
+    C(n, k-d) - C(n-u, k-d) counts the (k-d)-sets of [0, n) whose least
+    vertex is below u, so the k-sets that agree with a prefix ending before
+    s and hold a vertex below u at position d number ``below[d][u] -
+    below[d][s]``, and that row is the identity for d = k-1.  A k-set t
+    ranks at the sum of these terms for u = t[d], with s = 0 at d = 0 and
+    s = t[d-1] + 1 after.
+
     The picks are positions among the missing k-sets.  Both the picks and
     the ranks of the existing edges are sorted, so one merge turns each
     pick into a rank: the missing k-set at position ``i`` has rank ``i + j``
@@ -491,21 +489,25 @@ def _sample_missing(h: Hypergraph, k: int, count: int, seed: int) -> list[Edge]:
     their first k-1 vertices have consecutive ranks and differ only in the
     last vertex, one step per rank, so a rank that stays in the previous
     set's run moves only that vertex, by the difference of the ranks.  Any
-    other rank is unranked by one bisection per position d < k-1:
-    ``below[d][u]`` = C(n, k-d) - C(n-u, k-d) counts the (k-d)-sets of
-    [0, n) whose least vertex is below u, so the k-sets that agree with a
-    prefix ending before s and hold a vertex below u at position d number
-    ``below[d][u] - below[d][s]``.  That row is the identity for d = k-1, so
-    what is left of the rank there is the last vertex's offset from s.  One
-    sampled set thus costs its merge step and either one tuple or k-1
-    bisections.
+    other rank runs the sum above backwards, with one bisection of
+    ``below[d]`` per position d < k-1, and what is left of the rank at the
+    end is the last vertex's offset from s.  One sampled set thus costs its
+    merge step and either one tuple or k-1 bisections.
     """
     n = h.n
     total = count_missing_edges(h, k)
-    existing = sorted(_rank_kset(e, n) for e in h.edges if len(e) == k)
+    below = [[comb(n, k - d) - comb(n - u, k - d) for u in range(n + 1)] for d in range(k - 1)]
+
+    def rank_of(t: Edge) -> int:
+        r = s = 0
+        for row, v in zip(below, t):
+            r += row[v] - row[s]
+            s = v + 1
+        return r + t[-1] - s
+
+    existing = sorted(rank_of(e) for e in h.edges if len(e) == k)
     rng = random.Random(seed)
     picks = sorted(rng.sample(range(total), min(count, total)))
-    below = [[comb(n, k - d) - comb(n - u, k - d) for u in range(n + 1)] for d in range(k - 1)]
     out: list[Edge] = []
     j = 0
     prev, last = -1, n  # the previous set's rank and last vertex; no run before the first

@@ -111,6 +111,14 @@ class TestGen:
         assert code == 2 and "repeats vertex 0" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("family", [("c",), ("s", "--n", "21")])
+    @pytest.mark.parametrize("ell", ["2", "3"])
+    def test_gen_clique_below_four_is_input_error(self, tmp_path, capsys, family, ell):
+        code, out, err = run(
+            capsys, "gen", *family, "--k", "3", "--ell", ell, "-o", str(tmp_path / "x.hg"),
+        )
+        assert (code, out, err) == (2, "", "error: clique size must be at least 4\n")
+
     def test_gen_too_small_is_input_error(self, tmp_path, capsys):
         code, out, err = run(
             capsys, "gen", "s", "--n", "6", "--k", "3", "--ell", "4",
@@ -315,6 +323,15 @@ class TestInvariants:
         g.write_text("0 1\n1 2\n2 3\n")
         code, payload, _ = run_json(capsys, "invariants", "--graph", str(g))
         assert code == 0 and payload["girth"] == "acyclic"
+
+    def test_past_the_feedback_cap_exit_two_before_any_search(self, capsys, tmp_path):
+        g = tmp_path / "k25.g"
+        g.write_text("".join(f"{u} {v}\n" for u, v in itertools.combinations(range(25), 2)))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "invariants", "--graph", str(g))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == "error: graph too large for exhaustive search (n=25)\n"
 
 
 class TestSearch:

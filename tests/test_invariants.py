@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bergesat import invariants
 from bergesat.core import Graph
 from bergesat.invariants import (
     complete_join,
@@ -60,6 +61,9 @@ class TestVertexCover:
     def test_five_cycle(self):
         # 5 - alpha = 3, cross-checked exhaustively below via Gallai test
         assert vertex_cover_number(make_cycle(5)) == 3
+
+    def test_edgeless(self):
+        assert vertex_cover_number(Graph(3)) == 0
 
 
 class TestGirth:
@@ -175,6 +179,17 @@ def test_invariant_report_five_cycle():
     assert rep.feedback == 1 and rep.feedback_set == (0,)
 
 
+def test_invariants_refuse_past_the_feedback_cap_before_any_search(monkeypatch):
+    """K25 is past the feedback cap only; any other solver would search it."""
+    def searched(g):
+        raise AssertionError("a solver ran before the feedback cap was checked")
+
+    for name in ("independence_number", "vertex_cover_number", "min_degree", "girth"):
+        monkeypatch.setattr(invariants, name, searched)
+    with pytest.raises(ValueError, match=r"graph too large for exhaustive search \(n=25\)"):
+        compute_invariants(make_clique(25))
+
+
 # -- randomized properties ---------------------------------------------------
 
 small_graphs = st.integers(2, 8).flatmap(
@@ -194,6 +209,7 @@ small_graphs = st.integers(2, 8).flatmap(
 @given(small_graphs)
 def test_gallai_identity(g):
     assert independence_number(g) + vertex_cover_number(g) == g.n
+    assert compute_invariants(g).beta == vertex_cover_number(g)
 
 
 @settings(max_examples=40, deadline=None)
